@@ -9,13 +9,21 @@ and the same entry points dispatch to the torus-aware reduction when a
 ``domain`` is passed (see :mod:`repro.alignment.torus`).
 """
 
-from repro.alignment.procrustes import RigidTransform, alignment_error, apply_rigid, kabsch_2d
+from repro.alignment.procrustes import (
+    RigidTransform,
+    alignment_error,
+    apply_rigid,
+    kabsch_2d,
+    kabsch_2d_stack,
+)
 from repro.alignment.correspondences import (
+    TypeMatcher,
     assignment_correspondence,
     correspondence_distances,
     is_type_preserving_permutation,
     nearest_neighbor_correspondence,
 )
+from repro.alignment.lockstep import BatchAlignment
 from repro.alignment.icp import ICPResult, TypeAwareICP, lift_with_types
 from repro.alignment.torus import TorusAligner, TorusICPResult, TorusTransform
 from repro.alignment.symmetry import (
@@ -31,14 +39,17 @@ from repro.alignment.symmetry import (
 __all__ = [
     "RigidTransform",
     "kabsch_2d",
+    "kabsch_2d_stack",
     "apply_rigid",
     "alignment_error",
+    "TypeMatcher",
     "nearest_neighbor_correspondence",
     "assignment_correspondence",
     "is_type_preserving_permutation",
     "correspondence_distances",
     "TypeAwareICP",
     "ICPResult",
+    "BatchAlignment",
     "lift_with_types",
     "TorusAligner",
     "TorusICPResult",

@@ -17,16 +17,20 @@ This implementation reproduces that construction with NumPy/SciPy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.alignment.correspondences import (
+# The single-pair correspondence and Kabsch entry points are re-exported here
+# (their ``m = 1`` forms) so callers that reach them through this module keep
+# working; the engine itself runs the batched forms.
+from repro.alignment.correspondences import (  # noqa: F401
+    TypeMatcher,
     assignment_correspondence,
-    correspondence_distances,
     nearest_neighbor_correspondence,
 )
-from repro.alignment.procrustes import RigidTransform, kabsch_2d
+from repro.alignment.lockstep import BatchAlignment, check_batch, descend, first_best
+from repro.alignment.procrustes import RigidTransform, kabsch_2d, kabsch_2d_stack  # noqa: F401
 
 __all__ = ["ICPResult", "TypeAwareICP", "lift_with_types"]
 
@@ -138,71 +142,98 @@ class TypeAwareICP:
         When no ``initial_transform`` is given and the identity-initialised
         fit is poor, additional registrations are started from a grid of
         initial rotations (see ``global_init_angles``) and the best is kept.
+        This is the ``m = 1`` case of :meth:`align_batch`.
         """
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
-        types = np.asarray(types, dtype=int)
         if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
             raise ValueError("source and target must both have shape (n, 2)")
-        if types.shape != (source.shape[0],):
-            raise ValueError("types must have shape (n,)")
+        batch = self.align_batch(source[None], target, types, initial_transform=initial_transform)
+        rotation, translation = batch.params
+        return ICPResult(
+            transform=RigidTransform(rotation=rotation[0], translation=translation[0]),
+            aligned=batch.aligned[0],
+            correspondence=batch.correspondence[0],
+            rmse=float(batch.rmse[0]),
+            n_iterations=int(batch.n_iterations[0]),
+            converged=bool(batch.converged[0]),
+        )
 
-        if initial_transform is None:
-            best = self._align_once(source, target, types, RigidTransform.identity())
-            centered = target - target.mean(axis=0)
-            scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
-            if best.rmse <= self.good_enough_rmse * max(scale, 1e-12) or self.global_init_angles == 0:
-                return best
-            source_mean = source.mean(axis=0)
-            target_mean = target.mean(axis=0)
-            for angle in np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]:
-                rotation_only = RigidTransform.from_angle(float(angle))
-                translation = target_mean - rotation_only.rotation @ source_mean
-                start = RigidTransform(rotation=rotation_only.rotation, translation=translation)
-                candidate = self._align_once(source, target, types, start)
-                if candidate.rmse < best.rmse:
-                    best = candidate
-            return best
-        return self._align_once(source, target, types, initial_transform)
-
-    def _align_once(
+    def align_batch(
         self,
-        source: np.ndarray,
+        sources: np.ndarray,
         target: np.ndarray,
         types: np.ndarray,
-        initial_transform: RigidTransform,
-    ) -> ICPResult:
-        """One ICP descent from a fixed initial transform."""
-        transform = initial_transform
-        current = transform.apply(source)
-        previous_error = np.inf
-        converged = False
-        iterations = 0
+        *,
+        initial_transform: RigidTransform | None = None,
+    ) -> BatchAlignment:
+        """Register every ``sources[b]`` (``(m, n, 2)``) onto one ``(n, 2)`` target.
 
-        for iterations in range(1, self.max_iterations + 1):
-            if self.assignment_every_step:
-                corr = assignment_correspondence(current, target, types)
-            else:
-                corr = nearest_neighbor_correspondence(current, target, types)
-            step = kabsch_2d(current, target[corr])
-            transform = step.compose(transform)
-            current = transform.apply(source)
-            error = float(correspondence_distances(current, target, corr).mean())
-            if abs(previous_error - error) < self.tolerance:
-                converged = True
-                break
-            previous_error = error
+        All samples descend in lock step from the identity; only the samples
+        whose fit misses ``good_enough_rmse`` are restarted, all of their
+        ``global_init_angles - 1`` rotated starts in one second batch, and
+        each keeps the first start with a strictly smaller residual (angle
+        order).  Row ``b`` of the result is bit-identical to
+        ``align(sources[b], target, types)``; ``params`` holds the fitted
+        rotations ``(m, 2, 2)`` and translations ``(m, 2)``.
+        """
+        sources, target, types = check_batch(sources, target, types)
+        matcher = TypeMatcher(target, types)
+        m = sources.shape[0]
+        if initial_transform is not None:
+            start = (
+                np.broadcast_to(initial_transform.rotation, (m, 2, 2)),
+                np.broadcast_to(initial_transform.translation, (m, 2)),
+            )
+            return self._descend(matcher, sources, start)
 
-        if self.use_assignment:
-            final_corr = assignment_correspondence(current, target, types)
-        else:
-            final_corr = nearest_neighbor_correspondence(current, target, types)
-        rmse = float(np.sqrt((correspondence_distances(current, target, final_corr) ** 2).mean()))
-        return ICPResult(
-            transform=transform,
-            aligned=current,
-            correspondence=final_corr,
-            rmse=rmse,
-            n_iterations=iterations,
-            converged=converged,
+        best = self._descend(matcher, sources, (np.broadcast_to(np.eye(2), (m, 2, 2)), np.zeros((m, 2))))
+        centered = target - target.mean(axis=0)
+        scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
+        retry = np.flatnonzero(~(best.rmse <= self.good_enough_rmse * max(scale, 1e-12)))
+        angles = np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]
+        if retry.size == 0 or angles.size == 0:
+            return best
+        rotations = np.stack([RigidTransform.from_angle(float(angle)).rotation for angle in angles])
+        source_mean = sources[retry].mean(axis=1)
+        translations = target.mean(axis=0) - np.matmul(rotations, source_mean[:, None, :, None])[..., 0]
+        restarts = self._descend(
+            matcher,
+            sources[np.repeat(retry, angles.size)],
+            (np.tile(rotations, (retry.size, 1, 1)), translations.reshape(-1, 2)),
+        )
+        scores = np.column_stack([best.rmse[retry], restarts.rmse.reshape(retry.size, angles.size)])
+        choice = first_best(scores)
+        improved = np.flatnonzero(choice > 0)
+        picked = improved * angles.size + choice[improved] - 1
+        return best.replace_rows(retry[improved], restarts.take(picked))
+
+    def _descend(
+        self, matcher: TypeMatcher, sources: np.ndarray, start: tuple[np.ndarray, np.ndarray]
+    ) -> BatchAlignment:
+        """Lock-step ICP descents of every row of ``sources`` from its start transform."""
+        uniform = np.ones(sources.shape[1])
+        weights = uniform / uniform.sum()
+
+        def place(rows: np.ndarray, params: tuple[np.ndarray, ...]) -> np.ndarray:
+            rotation, translation = params
+            return np.matmul(sources[rows], rotation.swapaxes(-1, -2)) + translation[:, None, :]
+
+        def refit(params: tuple[np.ndarray, ...], current: np.ndarray, matched: np.ndarray):
+            rotation, translation = params
+            step_rotation, step_translation = kabsch_2d_stack(current, matched, weights)
+            return (
+                np.matmul(step_rotation, rotation),
+                np.matmul(step_rotation, translation[:, :, None])[:, :, 0] + step_translation,
+            )
+
+        return descend(
+            matcher,
+            start,
+            place,
+            refit,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            assignment_every_step=self.assignment_every_step,
+            use_assignment=self.use_assignment,
         )

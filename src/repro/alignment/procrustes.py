@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RigidTransform", "kabsch_2d", "apply_rigid", "alignment_error"]
+__all__ = ["RigidTransform", "kabsch_2d", "kabsch_2d_stack", "apply_rigid", "alignment_error"]
 
 
 @dataclass(frozen=True)
@@ -99,20 +99,36 @@ def kabsch_2d(
     total = weights.sum()
     if total <= 0:
         return RigidTransform.identity()
-    w = weights / total
+    rotation, translation = kabsch_2d_stack(source[None], target[None], weights / total)
+    return RigidTransform(rotation=rotation[0], translation=translation[0])
 
-    source_mean = w @ source
-    target_mean = w @ target
-    source_centered = source - source_mean
-    target_centered = target - target_mean
 
-    cross = (source_centered * w[:, None]).T @ target_centered
+def kabsch_2d_stack(
+    source: np.ndarray, target: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise Kabsch for stacks ``(B, n, 2)`` with shared normalised weights ``w``.
+
+    Returns rotations ``(B, 2, 2)`` and translations ``(B, 2)``.  Every
+    product is an ``np.matmul`` on ``(B, …)`` stacks with the operand layout
+    of the single-pair formula, and ``svd``/``det`` run on ``(B, 2, 2)``
+    stacks, so each row reaches the same BLAS/LAPACK call as one
+    :func:`kabsch_2d` and the stack is bit-identical to a loop over rows.
+    """
+    source_mean = np.matmul(w, source)
+    target_mean = np.matmul(w, target)
+    source_centered = source - source_mean[:, None, :]
+    target_centered = target - target_mean[:, None, :]
+
+    cross = np.matmul((source_centered * w[:, None]).swapaxes(-1, -2), target_centered)
     u, _singular, vt = np.linalg.svd(cross)
-    det = np.linalg.det(vt.T @ u.T)
-    correction = np.diag([1.0, np.sign(det) if det != 0 else 1.0])
-    rotation = vt.T @ correction @ u.T
-    translation = target_mean - rotation @ source_mean
-    return RigidTransform(rotation=rotation, translation=translation)
+    v, ut = vt.swapaxes(-1, -2), u.swapaxes(-1, -2)
+    det = np.linalg.det(np.matmul(v, ut))
+    correction = np.zeros_like(cross)
+    correction[:, 0, 0] = 1.0
+    correction[:, 1, 1] = np.where(det != 0, np.sign(det), 1.0)
+    rotation = np.matmul(np.matmul(v, correction), ut)
+    translation = target_mean - np.matmul(rotation, source_mean[:, :, None])[:, :, 0]
+    return rotation, translation
 
 
 def apply_rigid(transform: RigidTransform, points: np.ndarray) -> np.ndarray:

@@ -14,7 +14,11 @@ representative ``w`` (§5.2):
    type-preserving correspondence found by the ICP.
 
 The correspondence is established *across samples at a fixed time step*;
-identity of a particle across time is deliberately lost (§5.2).
+identity of a particle across time is deliberately lost (§5.2).  All samples
+of a frame are registered together: :func:`align_snapshot` hands the whole
+snapshot to the aligner's lock-step ``align_batch``
+(:mod:`repro.alignment.lockstep`), whose rows are bit-identical to aligning
+each sample on its own.
 
 On a wrapped domain (any periodic axis: torus or channel) the free-space
 group is the wrong one — there are no continuous rotations, translations act
@@ -29,10 +33,12 @@ path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.alignment.icp import TypeAwareICP
+from repro.alignment.lockstep import BatchAlignment
 from repro.alignment.torus import TorusAligner
 from repro.particles.domain import Domain, get_domain
 from repro.particles.trajectory import EnsembleTrajectory
@@ -81,9 +87,29 @@ def select_reference(snapshot: np.ndarray, strategy: str = "medoid") -> int:
     if strategy != "medoid":
         raise ValueError(f"unknown reference strategy {strategy!r}")
     centered = center_configurations(snapshot)
-    radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", centered, centered)), axis=1)
-    pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
-    return int(pairwise.sum(axis=1).argmin())
+    return _profile_medoid(np.sort(np.sqrt(np.einsum("mik,mik->mi", centered, centered)), axis=1))
+
+
+#: Rows of the pairwise profile distance evaluated at once: a block holds at
+#: most this many ``|r_i - r_j|`` terms, so the medoid search needs O(m·n)
+#: extra memory rather than an ``(m, m, n)`` temporary.
+_MEDOID_BLOCK_TERMS = 1 << 18
+
+
+def _profile_medoid(radii: np.ndarray) -> int:
+    """Index of the profile with the smallest summed L1 distance to all others.
+
+    The pairwise L1 is evaluated in row blocks; each row's sum runs over the
+    same contiguous values as the unblocked ``(m, m, n)`` formula, so the
+    totals — and the chosen index — are bit-identical to it.
+    """
+    m, n = radii.shape
+    rows = max(1, _MEDOID_BLOCK_TERMS // max(m * n, 1))
+    totals = np.empty(m)
+    for start in range(0, m, rows):
+        block = np.abs(radii[start:start + rows, None, :] - radii[None, :, :]).sum(axis=-1)
+        totals[start:start + rows] = block.sum(axis=1)
+    return int(totals.argmin())
 
 
 def select_reference_wrapped(
@@ -118,9 +144,7 @@ def select_reference_wrapped(
         else:
             centroids[:, axis] = column.mean(axis=1)
     delta = domain.displacement(wrapped, centroids[:, None, :])
-    radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", delta, delta)), axis=1)
-    pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
-    return int(pairwise.sum(axis=1).argmin())
+    return _profile_medoid(np.sort(np.sqrt(np.einsum("mik,mik->mi", delta, delta)), axis=1))
 
 
 @dataclass(frozen=True)
@@ -162,8 +186,8 @@ def align_snapshot(
         ``(n_particles,)`` shared type assignment.
     icp:
         Registration engine (defaults to :class:`TypeAwareICP` defaults).  On
-        a wrapped domain its ``max_iterations``/``tolerance`` parameterise
-        the torus aligner instead.
+        a wrapped domain its ``max_iterations``/``tolerance``/
+        ``use_assignment`` parameterise the torus aligner instead.
     reference:
         Either the index of the reference sample, an explicit reference
         configuration of shape ``(n_particles, 2)``, or ``None`` to pick one
@@ -203,22 +227,35 @@ def align_snapshot(
         reference_index = -1
         reference_config = center_configurations(np.asarray(reference, dtype=float))
 
-    n_samples = snapshot.shape[0]
-    reduced = np.empty_like(centered)
+    return _reduce_against(centered, reference_index, reference_config, icp.align_batch, types)
+
+
+def _reduce_against(
+    samples: np.ndarray,
+    reference_index: int,
+    reference_config: np.ndarray,
+    align_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], BatchAlignment],
+    types: np.ndarray,
+) -> SnapshotAlignment:
+    """Align every non-reference sample in one batch and reorder it to the reference.
+
+    Slot ``i`` of every reduced sample corresponds to reference particle
+    ``i``: particle ``j`` of an aligned sample is stored at slot
+    ``correspondence[j]``.  The reference sample itself is kept as is with
+    residual 0.  A correspondence that is not a permutation (an aligner with
+    ``use_assignment=False``) leaves the slots nothing maps to as NaN.
+    """
+    n_samples = samples.shape[0]
+    reduced = np.full_like(samples, np.nan)
     rmse = np.empty(n_samples)
-    for m in range(n_samples):
-        if m == reference_index:
-            reduced[m] = reference_config
-            rmse[m] = 0.0
-            continue
-        result = icp.align(centered[m], reference_config, types)
-        # Reorder so that slot i of every reduced sample corresponds to
-        # reference particle i: particle j of the aligned sample is stored at
-        # slot correspondence[j].
-        reordered = np.empty_like(result.aligned)
-        reordered[result.correspondence] = result.aligned
-        reduced[m] = reordered
-        rmse[m] = result.rmse
+    others = np.flatnonzero(np.arange(n_samples) != reference_index)
+    if others.size < n_samples:
+        reduced[reference_index] = reference_config
+        rmse[reference_index] = 0.0
+    if others.size:
+        batch = align_batch(samples[others], reference_config, types)
+        reduced[others[:, None], batch.correspondence] = batch.aligned
+        rmse[others] = batch.rmse
     return SnapshotAlignment(reduced=reduced, reference_index=reference_index, rmse=rmse)
 
 
@@ -242,6 +279,7 @@ def _align_snapshot_wrapped(
         domain=domain,
         max_iterations=icp.max_iterations if icp is not None else 50,
         tolerance=icp.tolerance if icp is not None else 1e-6,
+        use_assignment=icp.use_assignment if icp is not None else True,
     )
     wrapped = domain.wrap(snapshot)
     if reference is None:
@@ -254,20 +292,7 @@ def _align_snapshot_wrapped(
         reference_index = -1
         reference_config = domain.wrap(np.asarray(reference, dtype=float))
 
-    n_samples = snapshot.shape[0]
-    reduced = np.empty_like(wrapped)
-    rmse = np.empty(n_samples)
-    for m in range(n_samples):
-        if m == reference_index:
-            reduced[m] = reference_config
-            rmse[m] = 0.0
-            continue
-        result = aligner.align(wrapped[m], reference_config, types)
-        reordered = np.empty_like(result.aligned)
-        reordered[result.correspondence] = result.aligned
-        reduced[m] = reordered
-        rmse[m] = result.rmse
-    return SnapshotAlignment(reduced=reduced, reference_index=reference_index, rmse=rmse)
+    return _reduce_against(wrapped, reference_index, reference_config, aligner.align_batch, types)
 
 
 @dataclass(frozen=True)

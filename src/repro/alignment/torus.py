@@ -16,8 +16,8 @@ wrapped coordinates.
 :class:`TorusAligner` mirrors the :class:`~repro.alignment.icp.TypeAwareICP`
 construction under the wrapped metric:
 
-1. same-type nearest-neighbour correspondences in the domain's metric (a
-   per-axis periodic :class:`scipy.spatial.cKDTree`),
+1. same-type nearest-neighbour correspondences in the domain's wrapped
+   metric (:class:`~repro.alignment.correspondences.TypeMatcher`),
 2. the **exact** optimal translation mod L per periodic axis for the matched
    pairs (a sorted sweep over the circular breakpoints of the piecewise
    quadratic wrapped least-squares cost — not the circular-mean
@@ -33,9 +33,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
+from repro.alignment.correspondences import PAIR_BUDGET, TypeMatcher
+from repro.alignment.lockstep import BatchAlignment, check_batch, descend, first_best
 from repro.particles.domain import Domain
 
 __all__ = ["TorusTransform", "TorusICPResult", "TorusAligner"]
@@ -96,65 +96,29 @@ class TorusICPResult:
     converged: bool
 
 
-def _optimal_axis_shift(residuals: np.ndarray, length: float) -> float:
-    """Exact ``argmin_t Σ wrap_L(r_i − t)²`` for one periodic axis.
+def _optimal_axis_shift(residuals: np.ndarray, length: float) -> np.ndarray:
+    """Exact ``argmin_t Σ wrap_L(r_i − t)²`` for one periodic axis, per row.
 
-    The wrapped least-squares cost is piecewise quadratic in ``t``; on each
-    piece the minimiser is the mean of one circular re-labelling of the
-    residuals, and the pieces correspond to wrapping the ``j`` smallest
-    residuals up by ``L``.  Sorting once and scoring the ``n`` candidate
-    means under the wrapped metric finds the global minimum exactly —
-    unlike the circular-mean estimator, which is only asymptotically optimal
-    for concentrated residuals.
+    ``residuals`` is ``(..., n)``; the shift of every leading row is
+    returned.  The wrapped least-squares cost is piecewise quadratic in
+    ``t``; on each piece the minimiser is the mean of one circular
+    re-labelling of the residuals, and the pieces correspond to wrapping the
+    ``j`` smallest residuals up by ``L``.  Sorting once and scoring the ``n``
+    candidate means under the wrapped metric finds the global minimum
+    exactly — unlike the circular-mean estimator, which is only
+    asymptotically optimal for concentrated residuals.
     """
-    wrapped = np.sort(np.mod(residuals, length))
-    n = wrapped.size
+    wrapped = np.sort(np.mod(residuals, length), axis=-1)
+    n = wrapped.shape[-1]
     if n == 0:
-        return 0.0
-    candidates = (wrapped.sum() + length * np.arange(n)) / n
-    deltas = wrapped[None, :] - candidates[:, None]
+        return np.zeros(wrapped.shape[:-1])
+    candidates = (wrapped.sum(axis=-1, keepdims=True) + length * np.arange(n)) / n
+    deltas = wrapped[..., None, :] - candidates[..., :, None]
     deltas -= length * np.round(deltas / length)
-    costs = np.einsum("ij,ij->i", deltas, deltas)
-    return float(np.mod(candidates[int(costs.argmin())], length))
-
-
-def _wrapped_nearest(
-    source: np.ndarray, target: np.ndarray, types: np.ndarray, domain: Domain
-) -> np.ndarray:
-    """Same-type nearest neighbours under the domain's wrapped metric."""
-    boxsize = [
-        side if periodic else 0.0
-        for side, periodic in zip(domain.extents, domain.periodic_axes)
-    ]
-    corr = np.empty(source.shape[0], dtype=int)
-    for type_id in np.unique(types):
-        idx = np.nonzero(types == type_id)[0]
-        tree = cKDTree(target[idx], boxsize=boxsize)
-        _dist, local = tree.query(source[idx], k=1)
-        corr[idx] = idx[np.atleast_1d(local)]
-    return corr
-
-
-def _wrapped_assignment(
-    source: np.ndarray, target: np.ndarray, types: np.ndarray, domain: Domain
-) -> np.ndarray:
-    """One-to-one, type-preserving assignment minimising wrapped squared distance."""
-    perm = np.empty(source.shape[0], dtype=int)
-    for type_id in np.unique(types):
-        idx = np.nonzero(types == type_id)[0]
-        delta = domain.displacement(source[idx][:, None, :], target[idx][None, :, :])
-        cost = np.einsum("ijk,ijk->ij", delta, delta)
-        rows, cols = linear_sum_assignment(cost)
-        perm[idx[rows]] = idx[cols]
-    return perm
-
-
-def _wrapped_distances(
-    source: np.ndarray, target: np.ndarray, correspondence: np.ndarray, domain: Domain
-) -> np.ndarray:
-    """Wrapped distance between each source particle and its matched target."""
-    delta = domain.displacement(source, target[np.asarray(correspondence, dtype=int)])
-    return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    flat = deltas.reshape(-1, n)
+    costs = np.einsum("ij,ij->i", flat, flat).reshape(candidates.shape)
+    best = np.take_along_axis(candidates, costs.argmin(axis=-1)[..., None], axis=-1)
+    return np.mod(best[..., 0], length)
 
 
 @dataclass
@@ -200,30 +164,79 @@ class TorusAligner:
     def align(
         self, source: np.ndarray, target: np.ndarray, types: np.ndarray
     ) -> TorusICPResult:
-        """Register ``source`` onto ``target`` (both ``(n, 2)``, same type layout)."""
+        """Register ``source`` onto ``target`` (both ``(n, 2)``, same type layout).
+
+        This is the ``m = 1`` case of :meth:`align_batch`.
+        """
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
-        types = np.asarray(types, dtype=int)
         if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
             raise ValueError("source and target must both have shape (n, 2)")
-        if types.shape != (source.shape[0],):
-            raise ValueError("types must have shape (n,)")
-        source = self.domain.wrap(source)
-        target = self.domain.wrap(target)
-        flip_space = (
-            itertools.product((False, True), repeat=2) if self.try_flips else [(False, False)]
+        batch = self.align_batch(source[None], target, types)
+        translation, flips = batch.params
+        return TorusICPResult(
+            transform=TorusTransform(
+                flips=(bool(flips[0, 0]), bool(flips[0, 1])),
+                translation=(float(translation[0, 0]), float(translation[0, 1])),
+            ),
+            aligned=batch.aligned[0],
+            correspondence=batch.correspondence[0],
+            rmse=float(batch.rmse[0]),
+            n_iterations=int(batch.n_iterations[0]),
+            converged=bool(batch.converged[0]),
         )
-        best: TorusICPResult | None = None
-        for flips in flip_space:
-            candidate = self._align_once(source, target, types, tuple(flips))
-            if best is None or candidate.rmse < best.rmse:
-                best = candidate
-        return best
 
-    def _initial_translation(
-        self, flipped: np.ndarray, target: np.ndarray, types: np.ndarray
-    ) -> np.ndarray:
-        """Global translation initialisation by anchor matching.
+    def align_batch(
+        self, sources: np.ndarray, target: np.ndarray, types: np.ndarray
+    ) -> BatchAlignment:
+        """Register every ``sources[b]`` (``(m, n, 2)``) onto one ``(n, 2)`` target.
+
+        Every ``(sample, flip)`` row descends in lock step; each sample keeps
+        the first flip combination with a strictly smaller residual.  Row
+        ``b`` is bit-identical to ``align(sources[b], target, types)``;
+        ``params`` holds the translations ``(m, 2)`` and flips ``(m, 2)``.
+        """
+        sources, target, types = check_batch(sources, target, types)
+        domain = self.domain
+        sources = domain.wrap(sources)
+        matcher = TypeMatcher(domain.wrap(target), types, domain)
+        flip_space = (
+            list(itertools.product((False, True), repeat=2)) if self.try_flips else [(False, False)]
+        )
+        m, n = sources.shape[:2]
+        flipped = np.stack(
+            [TorusTransform(flips=flips, translation=(0.0, 0.0)).apply(sources, domain) for flips in flip_space],
+            axis=1,
+        ).reshape(m * len(flip_space), n, 2)
+        flips = np.tile(np.array(flip_space, dtype=bool), (m, 1))
+
+        def place(rows: np.ndarray, params: tuple[np.ndarray, ...]) -> np.ndarray:
+            return domain.wrap(flipped[rows] + params[0][:, None, :])
+
+        def refit(params: tuple[np.ndarray, ...], current: np.ndarray, matched: np.ndarray):
+            # Optimal translation update per periodic axis for the matched
+            # pairs; reflecting axes have no translational freedom.
+            translation = params[0].copy()
+            residuals = domain.displacement(matched, current)
+            for axis in range(2):
+                if domain.periodic_axes[axis]:
+                    translation[:, axis] += _optimal_axis_shift(residuals[..., axis], domain.extents[axis])
+            return translation, params[1]
+
+        result = descend(
+            matcher,
+            (self._initial_translations(flipped, matcher), flips),
+            place,
+            refit,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            use_assignment=self.use_assignment,
+        )
+        choice = first_best(result.rmse.reshape(m, len(flip_space)))
+        return result.take(np.arange(m) * len(flip_space) + choice)
+
+    def _initial_translations(self, flipped: np.ndarray, matcher: TypeMatcher) -> np.ndarray:
+        """Global translation initialisation by anchor matching, per row.
 
         Correspondence/translation descent is a local search and stalls when
         the initial shift exceeds the typical particle spacing (the torus
@@ -235,72 +248,28 @@ class TorusAligner:
         For an exactly rigid shift the true translation is always among the
         candidates; for noisy data the best-scoring candidate is a strong
         basin to descend from.  Reflecting axes contribute no freedom and
-        stay at zero.
+        stay at zero.  Each row keeps its first strictly best-scoring
+        candidate (the zero shift first); candidates are scored in row
+        chunks of bounded size.
         """
         domain = self.domain
+        n_rows, n = flipped.shape[:2]
         if not any(domain.periodic_axes):
-            return np.zeros(2)
-        unique, counts = np.unique(types, return_counts=True)
-        anchor_type = int(unique[int(counts.argmin())])
-        idx = np.nonzero(types == anchor_type)[0]
-        anchor = flipped[idx[0]]
-        offsets = domain.displacement(target[idx], anchor[None, :])
-        candidates = np.zeros((offsets.shape[0] + 1, 2))
+            return np.zeros((n_rows, 2))
+        unique, counts = np.unique(matcher.types, return_counts=True)
+        idx = np.nonzero(matcher.types == unique[int(counts.argmin())])[0]
+        offsets = domain.displacement(matcher.target[idx][None], flipped[:, idx[0]][:, None, :])
+        candidates = np.zeros((n_rows, idx.size + 1, 2))
         for axis in range(2):
             if domain.periodic_axes[axis]:
-                candidates[1:, axis] = offsets[:, axis]
-        best_score = np.inf
-        best = candidates[0]
-        for translation in candidates:
-            moved = domain.wrap(flipped + translation)
-            corr = _wrapped_nearest(moved, target, types, domain)
-            score = float(_wrapped_distances(moved, target, corr, domain).mean())
-            if score < best_score:
-                best_score = score
-                best = translation
-        return best.copy()
-
-    def _align_once(
-        self,
-        source: np.ndarray,
-        target: np.ndarray,
-        types: np.ndarray,
-        flips: tuple[bool, bool],
-    ) -> TorusICPResult:
-        """One correspondence/translation descent from a fixed flip choice."""
-        domain = self.domain
-        flipped = TorusTransform(flips=flips, translation=(0.0, 0.0)).apply(source, domain)
-        translation = self._initial_translation(flipped, target, types)
-        current = domain.wrap(flipped + translation)
-        previous_error = np.inf
-        converged = False
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            corr = _wrapped_nearest(current, target, types, domain)
-            # Optimal translation update per periodic axis for the matched
-            # pairs; reflecting axes have no translational freedom.
-            residuals = domain.displacement(target[corr], current)
-            for axis in range(2):
-                if domain.periodic_axes[axis]:
-                    translation[axis] += _optimal_axis_shift(
-                        residuals[:, axis], domain.extents[axis]
-                    )
-            current = domain.wrap(flipped + translation)
-            error = float(_wrapped_distances(current, target, corr, domain).mean())
-            if abs(previous_error - error) < self.tolerance:
-                converged = True
-                break
-            previous_error = error
-        if self.use_assignment:
-            final_corr = _wrapped_assignment(current, target, types, domain)
-        else:
-            final_corr = _wrapped_nearest(current, target, types, domain)
-        rmse = float(np.sqrt((_wrapped_distances(current, target, final_corr, domain) ** 2).mean()))
-        return TorusICPResult(
-            transform=TorusTransform(flips=flips, translation=(float(translation[0]), float(translation[1]))),
-            aligned=current,
-            correspondence=final_corr,
-            rmse=rmse,
-            n_iterations=iterations,
-            converged=converged,
-        )
+                candidates[:, 1:, axis] = offsets[:, :, axis]
+        choice = np.empty(n_rows, dtype=int)
+        chunk = max(1, PAIR_BUDGET // (candidates.shape[1] * n))
+        for start in range(0, n_rows, chunk):
+            rows = slice(start, start + chunk)
+            moved = domain.wrap(flipped[rows, None] + candidates[rows, :, None, :]).reshape(-1, n, 2)
+            scores = matcher.distances(moved, matcher.nearest(moved)).mean(axis=-1)
+            # A NaN score never wins, not even as the first candidate.
+            scores = np.where(np.isnan(scores), np.inf, scores)
+            choice[rows] = first_best(scores.reshape(-1, candidates.shape[1]))
+        return candidates[np.arange(n_rows), choice]

@@ -380,6 +380,7 @@ class ExperimentPlan:
 
     def __init__(self, root: _PlanNode) -> None:
         self._root = root
+        self._lowered: tuple[RunUnit, ...] | None = None
 
     # construction ------------------------------------------------------- #
     @classmethod
@@ -420,16 +421,23 @@ class ExperimentPlan:
         return ExperimentPlan.from_specs(self.specs()[:n_units])
 
     # lowering ----------------------------------------------------------- #
+    def _lower(self) -> tuple[RunUnit, ...]:
+        # The plan is immutable, so it lowers (and each unit hashes) once;
+        # repeated execute/status calls reuse the same RunUnits.
+        if self._lowered is None:
+            self._lowered = tuple(RunUnit(spec) for spec in self._root.specs())
+        return self._lowered
+
     def specs(self) -> list["ExperimentSpec"]:
         """Lower the tree to the flat spec list (plan order)."""
-        return self._root.specs()
+        return [unit.spec for unit in self._lower()]
 
     def units(self) -> list[RunUnit]:
         """Lower the tree to the flat list of content-hashed run units."""
-        return [RunUnit(spec) for spec in self.specs()]
+        return list(self._lower())
 
     def __len__(self) -> int:
-        return len(self.specs())
+        return len(self._lower())
 
     def __iter__(self) -> Iterator[RunUnit]:
         return iter(self.units())
@@ -440,8 +448,11 @@ class ExperimentPlan:
         units = self._unique_units()
         if store is None:
             return PlanStatus(units=tuple(units), cached=(), missing=tuple(units))
-        cached = tuple(u for u in units if store.has(u.content_hash))
-        missing = tuple(u for u in units if not store.has(u.content_hash))
+        # One query per unit: asking twice could list a unit committed in
+        # between as both cached and missing (or as neither).
+        present = [store.has(u.content_hash) for u in units]
+        cached = tuple(u for u, hit in zip(units, present) if hit)
+        missing = tuple(u for u, hit in zip(units, present) if not hit)
         return PlanStatus(units=tuple(units), cached=cached, missing=missing)
 
     def _unique_units(self, units: list[RunUnit] | None = None) -> list[RunUnit]:

@@ -10,10 +10,14 @@ marginals are estimated with Gaussian kernels (Scott's-rule bandwidth via
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from repro.infotheory.variables import as_variable_list, stack_variables
+
+if TYPE_CHECKING:
+    from scipy.stats import gaussian_kde
 
 __all__ = ["kde_entropy", "kde_multi_information"]
 
@@ -21,6 +25,10 @@ _LN2 = float(np.log(2.0))
 
 
 def _kde(samples: np.ndarray, bandwidth: str | float) -> gaussian_kde:
+    # Imported here: scipy.stats is heavy to load (tens of MB, ~0.5 s) and
+    # only this comparison estimator needs it, so `import repro` stays light.
+    from scipy.stats import gaussian_kde
+
     # gaussian_kde expects (d, m); add a tiny jitter-free regularisation path
     # for degenerate (constant) dimensions by falling back to a small bandwidth.
     data = np.atleast_2d(np.asarray(samples, dtype=float)).T

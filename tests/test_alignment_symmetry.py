@@ -70,6 +70,27 @@ class TestSelectReference:
         with pytest.raises(ValueError):
             select_reference(snapshot, "random")
 
+    @pytest.mark.parametrize("block_terms", [1, 50, 1 << 18])
+    def test_blocked_medoid_matches_the_unblocked_formula(self, rng, monkeypatch, block_terms):
+        import repro.alignment.symmetry as symmetry
+
+        def unblocked(radii):
+            pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
+            return int(pairwise.sum(axis=1).argmin())
+
+        monkeypatch.setattr(symmetry, "_MEDOID_BLOCK_TERMS", block_terms)
+        domain = symmetry.get_domain("periodic:6")
+        for _ in range(20):
+            snapshot = rng.uniform(0.0, 6.0, size=(int(rng.integers(2, 40)), 7, 2))
+            # Exact duplicates make exact ties: both must keep the first.
+            snapshot[-1] = snapshot[0]
+            centered = center_configurations(snapshot)
+            radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", centered, centered)), axis=1)
+            assert select_reference(snapshot) == unblocked(radii)
+            assert symmetry._profile_medoid(radii) == unblocked(radii)
+            wrapped = symmetry.select_reference_wrapped(snapshot, domain)
+            assert 0 <= wrapped < snapshot.shape[0]
+
 
 class TestAlignSnapshot:
     def test_identical_shapes_collapse_after_reduction(self, rng):

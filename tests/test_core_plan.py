@@ -120,6 +120,16 @@ class TestLowering:
         with pytest.raises(ValueError):
             plan.limit(0)
 
+    def test_lowering_is_memoised(self, spec, monkeypatch):
+        plan = grid(spec, **{"simulation.cutoff": [2.0, 3.0]})
+        first = plan.units()
+        monkeypatch.setattr(type(plan._root), "specs", lambda self: pytest.fail("plan lowered twice"))
+        second = plan.units()
+        assert [a is b for a, b in zip(first, second)] == [True, True]
+        assert [u.spec for u in first] == plan.specs() and len(plan) == 2
+        # The hashes computed once are the ones every later call sees.
+        assert [u.content_hash for u in second] == [unit_content_hash(u.spec) for u in first]
+
 
 class TestContentHash:
     def test_cosmetic_fields_do_not_enter_the_hash(self, spec):
@@ -234,6 +244,23 @@ class TestExecution:
         plan.execute(store)
         assert plan.status(store).complete
         assert plan.status(None).n_missing == 2
+
+    def test_status_queries_each_unit_once(self, plan):
+        # A unit committed between two store queries must still land in
+        # exactly one of cached/missing: the store flips every hash to
+        # "present" right after its first query.
+        class CommittingStore:
+            def __init__(self):
+                self.calls: list[str] = []
+
+            def has(self, content_hash):
+                self.calls.append(content_hash)
+                return self.calls.count(content_hash) > 1
+
+        store = CommittingStore()
+        status = plan.status(store)
+        assert sorted(store.calls) == sorted(u.content_hash for u in plan.units())
+        assert status.n_cached + status.n_missing == status.n_units == 2
 
     def test_recompute_ignores_the_cache(self, plan, tmp_path):
         store = RunStore(tmp_path / "store")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,14 @@ class TestKdeMultiInformation:
         rng = np.random.default_rng(3)
         variables = [rng.standard_normal((2500, 1)) for _ in range(2)]
         assert abs(kde_multi_information(variables)) < 0.15
+
+
+def test_importing_repro_leaves_scipy_stats_unloaded():
+    # scipy.stats costs tens of MB and ~0.5 s to import; only the KDE
+    # estimator needs it, and it loads it on first use.
+    code = (
+        "import sys, repro, repro.cli, repro.core.plan, repro.infotheory.kde; "
+        "print(any(m == 'scipy.stats' or m.startswith('scipy.stats.') for m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
