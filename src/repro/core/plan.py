@@ -605,8 +605,11 @@ class ExperimentPlan:
 
         Each pass leases whatever it can and computes that batch; units held
         by other live workers are waited on and their committed results
-        loaded (``external``).  A lease whose holder stopped renewing (a
-        crash) expires and is stolen on a later pass — the only window in
+        loaded (``external``).  The store is re-checked after every
+        successful acquire, so a unit a peer committed between the check
+        and the acquire is adopted, not recomputed.  A lease whose holder
+        stopped renewing (a crash) expires and is stolen on a later pass —
+        the only window in
         which a unit can be computed twice, and the write-once save makes
         even that window persistence-safe.
         """
@@ -618,37 +621,48 @@ class ExperimentPlan:
         total = len(missing_units)
         started = 0
         pending = list(missing_units)
+
+        def committed(unit: RunUnit) -> bool:
+            # Under ``recompute`` nothing is ever adopted — this worker
+            # insists on computing, so it waits its turn for the lease.
+            return (
+                not recompute
+                and store.has(unit.content_hash)
+                and (not keep_ensembles or store.provides_ensemble(unit.content_hash))
+            )
+
+        def adopt(unit: RunUnit) -> None:
+            result = store.load(unit.content_hash, with_ensemble=keep_ensembles)
+            results_by_hash[unit.content_hash] = result
+            external_hashes.append(unit.content_hash)
+            observer.on_unit_complete(unit, result, cached=True)
+
         try:
             while pending:
                 # Adopt whatever a concurrent worker committed since the last
                 # pass *before* trying to lease — a finished worker releases
                 # its lease right after saving, and leasing first would grab
                 # that freed lease and recompute a unit whose result is
-                # already sitting in the store.  Under ``recompute`` nothing
-                # is ever adopted — this worker insists on computing, so it
-                # waits its turn for the lease instead.
+                # already sitting in the store.
                 remaining: list[RunUnit] = []
                 for unit in pending:
-                    committed = (
-                        not recompute
-                        and store.has(unit.content_hash)
-                        and (not keep_ensembles or store.provides_ensemble(unit.content_hash))
-                    )
-                    if committed:
-                        result = store.load(unit.content_hash, with_ensemble=keep_ensembles)
-                        results_by_hash[unit.content_hash] = result
-                        external_hashes.append(unit.content_hash)
-                        observer.on_unit_complete(unit, result, cached=True)
+                    if committed(unit):
+                        adopt(unit)
                     else:
                         remaining.append(unit)
                 mine: list[RunUnit] = []
                 held_elsewhere: list[RunUnit] = []
                 for unit in remaining:
-                    if store.try_acquire_lease(unit.content_hash, owner, lease_ttl_seconds):
+                    if not store.try_acquire_lease(unit.content_hash, owner, lease_ttl_seconds):
+                        held_elsewhere.append(unit)
+                    elif committed(unit):
+                        # A peer committed and released between the check
+                        # above and this acquire: adopt, never recompute.
+                        store.release_lease(unit.content_hash, owner)
+                        adopt(unit)
+                    else:
                         keeper.track(unit.content_hash)
                         mine.append(unit)
-                    else:
-                        held_elsewhere.append(unit)
                 if mine:
                     for unit in mine:
                         observer.on_unit_start(unit, started, total)

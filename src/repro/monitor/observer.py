@@ -7,9 +7,11 @@ object with a matching ``on_step`` works — :class:`~repro.monitor.live
 Contract for implementations:
 
 * ``positions`` is a **read-only view** of the frame the engine just
-  recorded — ``(n, 2)`` for a :class:`~repro.particles.model.ParticleSystem`,
-  ``(m, n, 2)`` for an :class:`~repro.particles.ensemble.EnsembleSimulator`
-  batch.  Copy it if you need to keep it beyond the call.
+  recorded — ``(m, n, 2)`` for an
+  :class:`~repro.particles.ensemble.EnsembleSimulator` batch, ``(n, 2)``
+  for a :class:`~repro.particles.model.ParticleSystem`, which runs the same
+  step loop as an ``m = 1`` ensemble.  Copy it if you need to keep it
+  beyond the call.
 * Observers must not touch the engine's RNG or mutate any simulation state:
   an attached observer leaves the engine's trajectories bit-identical to an
   unobserved run (pinned in ``tests/test_monitor.py``).

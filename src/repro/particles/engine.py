@@ -1,12 +1,11 @@
 """Unified drift-evaluation engine: one entry point over dense and sparse kernels.
 
-Historically the ensemble path hard-coded the dense all-pairs kernel
-(:func:`repro.particles.forces.drift_batch`) while the sparse neighbour-search
-backends (:mod:`repro.particles.neighbors`) were reachable only from the
-single-run :class:`~repro.particles.model.ParticleSystem`.  This module closes
-that split: a :class:`DriftEngine` evaluates the Eq. 6 drift for a single
-configuration ``(n, 2)`` or a whole ensemble snapshot ``(m, n, 2)`` through
-either kernel, and every registered neighbour backend works on both paths.
+A :class:`DriftEngine` evaluates the Eq. 6 drift of a whole ensemble
+snapshot ``(m, n, 2)`` through one kernel, :meth:`DriftEngine.drift_batch`,
+and every registered neighbour backend (:mod:`repro.particles.neighbors`)
+feeds the sparse one.  A single configuration ``(n, 2)`` is the ``m = 1``
+case: :meth:`DriftEngine.drift` is a thin wrapper on the base class, so each
+engine carries exactly one kernel body.
 
 Two engines are provided:
 
@@ -38,9 +37,9 @@ Choosing an engine/backend
 * large n with a genuinely pruning cut-off — ``"sparse"``; pick the
   neighbour backend by workload: ``"cell"`` for ensembles (its
   :meth:`~repro.particles.neighbors.CellListNeighbors.pairs_batch` hashes
-  the whole ``(m, n, 2)`` snapshot in one vectorised query) and for
-  roughly-uniform single snapshots, ``"kdtree"`` for strongly non-uniform
-  single snapshots, ``"brute"`` only as a testing reference.
+  the whole ``(m, n, 2)`` snapshot in one vectorised query), ``"kdtree"``
+  for strongly non-uniform snapshots (one tree per sample), ``"brute"`` only
+  as a testing reference.
 * unsure, or the collective contracts over the run — ``"auto"`` with the
   default adaptive re-resolution.
 
@@ -48,9 +47,11 @@ Bit-compatibility contract
 --------------------------
 Both engines produce *bit-identical* drift for the same configuration: the
 sparse kernel consumes pairs in lexicographic ``(sample, i, j)`` order (see
-:meth:`NeighborSearch.pairs_batch`), which reproduces the dense kernel's
-sequential summation order exactly, and skipped pairs contribute exact zeros
-in the dense kernel.  ``tests/test_integration.py`` pins this property, so
+:meth:`~repro.particles.neighbors.NeighborSearch.pairs_batch`), which
+reproduces the dense kernel's sequential summation order exactly, and
+skipped pairs contribute exact zeros in the dense kernel.  Because a single
+configuration goes through the same kernel at ``m = 1``, single runs and
+ensembles share the contract too.  ``tests/test_integration.py`` pins it, so
 trajectories are reproducible across engine choices — and it is what makes
 adaptive mid-run engine switching safe.
 
@@ -76,7 +77,6 @@ from repro.particles.domain import Domain, get_domain
 from repro.particles.forces import (
     ForceScaling,
     drift_batch,
-    drift_single,
     get_force_scaling,
     pair_interaction_weights,
 )
@@ -189,17 +189,6 @@ def collective_radius(positions: np.ndarray) -> float:
     return float(spans.max() / 2.0)
 
 
-def _sorted_pairs(i_idx: np.ndarray, j_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ordered pairs lexicographically by ``(i, j)``.
-
-    Sequential accumulation over pairs in this order matches the dense
-    kernel's summation order, which is what makes dense and sparse drift
-    bit-identical rather than merely close.
-    """
-    order = np.lexsort((j_idx, i_idx))
-    return i_idx[order], j_idx[order]
-
-
 def sparse_drift_batch(
     positions: np.ndarray,
     types: np.ndarray,
@@ -253,10 +242,11 @@ class DriftEngine(abc.ABC):
 
     An engine is bound to a fixed type assignment, interaction parameters,
     force scaling and cut-off; it is therefore safe to cache per-pair
-    parameter data across time steps.  Calling the engine dispatches on the
-    input rank: ``(n, 2)`` uses the single-configuration path, ``(m, n, 2)``
-    the batched ensemble path — which makes an engine directly usable as the
-    ``drift_fn`` of any :class:`~repro.particles.integrators.Integrator`.
+    parameter data across time steps.  Subclasses implement one kernel,
+    :meth:`drift_batch`; :meth:`drift` is its ``m = 1`` case.  Calling the
+    engine dispatches on the input rank — ``(n, 2)`` or ``(m, n, 2)`` — which
+    makes an engine directly usable as the ``drift_fn`` of any
+    :class:`~repro.particles.integrators.Integrator`.
     """
 
     name: str = ""
@@ -283,12 +273,15 @@ class DriftEngine(abc.ABC):
         return int(self.types.size)
 
     @abc.abstractmethod
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        """Drift for a single configuration ``(n, 2)``."""
-
-    @abc.abstractmethod
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         """Drift for an ensemble snapshot ``(m, n, 2)``."""
+
+    def drift(self, positions: np.ndarray) -> np.ndarray:
+        """Drift for a single configuration ``(n, 2)``: :meth:`drift_batch` at ``m = 1``."""
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[-1] != 2:
+            raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
+        return self.drift_batch(positions[None])[0]
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
@@ -312,17 +305,6 @@ class DenseDriftEngine(DriftEngine):
     def __init__(self, types, params, scaling, cutoff=None, *, domain=None) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
         self._pair = params.pair_matrices(self.types)
-
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        return drift_single(
-            positions,
-            self.types,
-            self.params,
-            self.scaling,
-            cutoff=self.cutoff,
-            pair=self._pair,
-            domain=self.domain,
-        )
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return drift_batch(
@@ -353,23 +335,6 @@ class SparseDriftEngine(DriftEngine):
     ) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
         self.neighbors = get_neighbor_search(neighbors)
-
-    @property
-    def _radius(self) -> float:
-        return float("inf") if self.cutoff is None else self.cutoff
-
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        pairs = _sorted_pairs(*self.neighbors.pairs(positions, self._radius, self.domain))
-        return drift_single(
-            positions,
-            self.types,
-            self.params,
-            self.scaling,
-            cutoff=self.cutoff,
-            neighbor_pairs=pairs,
-            domain=self.domain,
-        )
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return sparse_drift_batch(
@@ -464,9 +429,6 @@ class AdaptiveDriftEngine(DriftEngine):
             domain_radius=collective_radius(positions),
         )
         return self._resolved
-
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        return self.active.drift(positions)
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return self.active.drift_batch(positions)

@@ -8,8 +8,11 @@ the ``m`` configurations observed at that step (§5.1).
 Two execution strategies are provided and produce identical results for the
 same seed:
 
-* the default **vectorised** path advances all samples simultaneously with
-  batched kernels of shape ``(m, n, 2)`` — dense all-pairs or sparse
+* the default **vectorised** path advances all samples simultaneously
+  through the particle model's one step loop
+  (:class:`repro.particles.model._Stepper`, of which a single
+  :class:`~repro.particles.model.ParticleSystem` run is the ``m = 1`` case)
+  with batched kernels of shape ``(m, n, 2)`` — dense all-pairs or sparse
   neighbour-pair, whichever the configuration's drift engine selects
   (optionally split into batches bounded by a memory budget).  On the
   sparse path with ``neighbor_backend="cell"`` the neighbour query itself
@@ -31,11 +34,9 @@ import numpy as np
 from repro.parallel.batch import batch_slices, max_batch_for_budget
 from repro.parallel.pool import effective_n_jobs, parallel_map
 from repro.parallel.rng import seed_streams
-from repro.particles.engine import AdaptiveDriftEngine, engine_for_config
 from repro.particles.forces import net_force_norms
 from repro.particles.init_conditions import uniform_box_ensemble, uniform_disc_ensemble
-from repro.particles.integrators import get_integrator
-from repro.particles.model import SimulationConfig, _clip_drift
+from repro.particles.model import SimulationConfig, _Observable, _Stepper
 from repro.particles.trajectory import EnsembleTrajectory
 
 __all__ = ["EnsembleSimulator", "simulate_ensemble", "EnsembleRunStats", "initial_ensemble_for"]
@@ -73,8 +74,15 @@ class EnsembleRunStats:
     fraction_at_equilibrium: float
 
 
-class EnsembleSimulator:
-    """Run ``n_samples`` independent realisations of a :class:`SimulationConfig`."""
+class EnsembleSimulator(_Observable):
+    """Run ``n_samples`` independent realisations of a :class:`SimulationConfig`.
+
+    Step observers (:meth:`add_observer`) receive read-only ``(m, n, 2)``
+    frames.  Observed runs execute in-process (no process pool) and require
+    the ensemble to fit one memory batch, so each notification carries the
+    *full* ensemble snapshot; :meth:`run` raises otherwise (raise
+    ``bytes_budget`` or lower ``n_samples``).
+    """
 
     def __init__(
         self,
@@ -91,7 +99,7 @@ class EnsembleSimulator:
         self.seed = seed
         self.bytes_budget = int(bytes_budget)
         self.types = config.types
-        self._engine = engine_for_config(config)
+        self._stepper = _Stepper(config)
         self._last_stats: EnsembleRunStats | None = None
         self._observers: list = []
 
@@ -99,52 +107,19 @@ class EnsembleSimulator:
     @property
     def engine(self):
         """The resolved :class:`~repro.particles.engine.DriftEngine` of this ensemble."""
-        return self._engine
+        return self._stepper.engine
 
     @property
     def last_stats(self) -> EnsembleRunStats | None:
         """Diagnostics of the most recent :meth:`run` call (None before any run)."""
         return self._last_stats
 
-    def add_observer(self, observer) -> None:
-        """Attach a step observer (see :class:`repro.monitor.observer.StepObserver`).
-
-        Observers are notified with every recorded ensemble frame — a
-        read-only ``(m, n, 2)`` view, after the frame has been stored — so
-        they can stream metrics from a live run without perturbing it: the
-        produced trajectory stays bit-identical to an unobserved run, and an
-        empty observer list costs nothing.
-
-        Observed runs execute in-process (no process pool) and require the
-        ensemble to fit one memory batch, so each notification carries the
-        *full* ensemble snapshot; :meth:`run` raises otherwise (raise
-        ``bytes_budget`` or lower ``n_samples``).
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached step observer."""
-        self._observers.remove(observer)
-
-    def _notify_observers(self, step: int, frame: np.ndarray) -> None:
-        view = frame.view()
-        view.flags.writeable = False
-        for observer in self._observers:
-            observer.on_step(step, view)
-
     def initial_snapshot(self, rng: np.random.Generator) -> np.ndarray:
         """Draw the ensemble's initial configurations, shape ``(m, n, 2)``."""
         return initial_ensemble_for(self.config, self.n_samples, rng)
 
-    def _drift(self, positions: np.ndarray) -> np.ndarray:
-        drift = self._engine.drift_batch(positions)
-        return _clip_drift(drift, self.config.max_drift_norm)
-
     def _run_batch(
-        self,
-        initial: np.ndarray,
-        rng: np.random.Generator,
-        record_initial: bool = True,
+        self, initial: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance one batch of samples for the full run.
 
@@ -152,27 +127,18 @@ class EnsembleSimulator:
         ``(n_steps + 1, batch, n, 2)`` and ``force_norms`` of shape
         ``(n_steps + 1, batch)``.
         """
-        config = self.config
-        domain = config.resolved_domain
-        integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
+        stepper = self._stepper
         positions = np.asarray(initial, dtype=float).copy()
-        frames = [positions.copy()] if record_initial else []
-        force_norms = [net_force_norms(self._drift(positions)).sum(axis=-1)]
-        if record_initial and self._observers:
+        frames = [positions.copy()]
+        force_norms = [net_force_norms(stepper.drift(positions)).sum(axis=-1)]
+        if self._observers:
             self._notify_observers(0, frames[0])
-        cadence = config.auto_reresolve_every
-        adaptive = cadence and isinstance(self._engine, AdaptiveDriftEngine)
-        for step in range(1, config.n_steps + 1):
-            for _ in range(config.substeps):
-                positions = integrator.step(positions, self._drift, config.dt, rng, domain)
+        for step in range(1, self.config.n_steps + 1):
+            positions, drift = stepper.step(positions, rng, step)
             frames.append(positions.copy())
-            force_norms.append(net_force_norms(self._drift(positions)).sum(axis=-1))
+            force_norms.append(net_force_norms(drift).sum(axis=-1))
             if self._observers:
                 self._notify_observers(step, frames[-1])
-            if adaptive and step % cadence == 0:
-                # Bit-identical kernels make this switch invisible in the
-                # trajectory; it only tracks the contracting bounding box.
-                self._engine.reresolve(positions)
         return np.stack(frames, axis=0), np.stack(force_norms, axis=0)
 
     def run(self, *, n_jobs: int | None = None) -> EnsembleTrajectory:

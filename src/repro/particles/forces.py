@@ -18,15 +18,15 @@ Because the velocity contribution is ``-F(x) Δz`` (the displacement vector is
 *not* normalised), positive ``F`` pulls particles together and negative ``F``
 pushes them apart, with a magnitude that also grows with distance.
 
-Two drift kernels operate on these scalings: the dense all-pairs broadcast
-(:func:`drift_single` / :func:`drift_batch`) and a sparse neighbour-pair
-segment-sum (:mod:`repro.particles.engine`).  Which kernel runs is selected
-per experiment via ``SimulationConfig.engine`` (``"dense"``/``"sparse"``/
+Two drift kernels operate on these scalings, both over ensemble snapshots
+``(m, n, 2)``: the dense all-pairs broadcast :func:`drift_batch` and a
+sparse neighbour-pair segment-sum (:mod:`repro.particles.engine`).  A single
+configuration is the ``m = 1`` case — :func:`drift_single` is a thin
+wrapper over :func:`drift_batch`.  Which kernel runs is selected per
+experiment via ``SimulationConfig.engine`` (``"dense"``/``"sparse"``/
 ``"auto"`` — adaptive by default, re-resolved mid-run as the collective
-contracts); both consume the per-pair weights produced by
-:func:`pair_interaction_weights` and agree bit-for-bit (see the
-bit-compatibility contract and the "Choosing an engine/backend" guide in
-:mod:`repro.particles.engine`).
+contracts); both agree bit-for-bit (see the bit-compatibility contract and
+the "Choosing an engine/backend" guide in :mod:`repro.particles.engine`).
 
 Both kernels take an optional :class:`~repro.particles.domain.Domain`: the
 displacement ``Δz_ij`` goes through ``domain.displacement()``, which applies
@@ -198,22 +198,6 @@ def pairwise_distance_matrix(
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", delta, delta))
 
 
-def _interaction_weights(
-    distance: np.ndarray,
-    pair: Mapping[str, np.ndarray],
-    scaling: ForceScaling,
-    cutoff: float | None,
-) -> np.ndarray:
-    """Scalar weight ``-F_{αβ}(d_ij)`` per pair, with self- and cut-off masking."""
-    weights = -scaling.scale(distance, pair["k"], pair["r"], pair["sigma"], pair["tau"])
-    n = distance.shape[-1]
-    eye = np.eye(n, dtype=bool)
-    weights = np.where(eye, 0.0, weights)
-    if cutoff is not None and np.isfinite(cutoff):
-        weights = np.where(distance <= cutoff, weights, 0.0)
-    return weights
-
-
 def pair_interaction_weights(
     distance: np.ndarray,
     types_i: np.ndarray,
@@ -226,10 +210,9 @@ def pair_interaction_weights(
 
     ``types_i``/``types_j`` are the type indices of the two ends of each pair
     and broadcast against ``distance``.  Pairs beyond ``cutoff`` get weight
-    exactly ``0.0``.  This is the shared primitive of the sparse kernels in
-    :mod:`repro.particles.engine` and the ``neighbor_pairs`` path of
-    :func:`drift_single`; self-pairs are *not* masked here (neighbour
-    backends never emit them).
+    exactly ``0.0``.  This is the primitive of the sparse kernel in
+    :mod:`repro.particles.engine`; self-pairs are *not* masked here
+    (neighbour backends never emit them).
     """
     scaling = get_force_scaling(scaling)
     weights = -scaling.scale(
@@ -251,68 +234,25 @@ def drift_single(
     scaling: ForceScaling | str,
     cutoff: float | None = None,
     *,
-    neighbor_pairs: tuple[np.ndarray, np.ndarray] | None = None,
     pair: Mapping[str, np.ndarray] | None = None,
     domain: Domain | str | None = None,
 ) -> np.ndarray:
     """Deterministic drift ``Σ_j -F(d_ij) Δz_ij`` for one configuration.
 
-    Parameters
-    ----------
-    positions:
-        ``(n, 2)`` particle coordinates.
-    types:
-        ``(n,)`` integer type assignment.
-    params:
-        Interaction parameter matrices.
-    scaling:
-        Force-scaling function or its name.
-    cutoff:
-        Interaction radius ``r_c``; ``None`` or ``inf`` means unconstrained
-        interactions.
-    neighbor_pairs:
-        Optional precomputed ``(i_idx, j_idx)`` arrays of interacting ordered
-        pairs (from a neighbour-search backend).  When given, only those pairs
-        are evaluated — the sparse path used by :class:`ParticleSystem` for
-        large, short-ranged systems.
-    pair:
-        Optional precomputed per-pair parameter matrices
-        (``params.pair_matrices(types)``), reusable across time steps on the
-        dense path; ignored when ``neighbor_pairs`` is given.
-    domain:
-        Simulation domain; pairwise displacements go through
-        :meth:`~repro.particles.domain.Domain.displacement` (minimum-image
-        on a periodic domain).  ``None`` means the free plane and evaluates
-        the exact same arithmetic as before domains existed.
+    The ``m = 1`` case of :func:`drift_batch`: ``positions`` is ``(n, 2)``,
+    ``types`` is ``(n,)``, and ``pair``/``domain`` have the same meaning
+    there.  ``cutoff`` ``None`` or ``inf`` means unconstrained interactions.
     """
     positions = np.asarray(positions, dtype=float)
     types = np.asarray(types, dtype=int)
-    scaling = get_force_scaling(scaling)
-    domain = get_domain(domain)
     n = positions.shape[0]
     if positions.shape != (n, 2):
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     if types.shape != (n,):
         raise ValueError("types must have shape (n,)")
-
-    if neighbor_pairs is not None:
-        i_idx, j_idx = neighbor_pairs
-        delta = domain.displacement(positions[i_idx], positions[j_idx])
-        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        weights = pair_interaction_weights(
-            dist, types[i_idx], types[j_idx], params, scaling, cutoff=cutoff
-        )
-        weights = np.where(i_idx == j_idx, 0.0, weights)
-        drift = np.zeros_like(positions)
-        np.add.at(drift, i_idx, weights[:, None] * delta)
-        return drift
-
-    if pair is None:
-        pair = params.pair_matrices(types)
-    delta = domain.displacement(positions[:, None, :], positions[None, :, :])
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-    weights = _interaction_weights(dist, pair, scaling, cutoff)
-    return np.einsum("ij,ijk->ik", weights, delta)
+    return drift_batch(
+        positions[None], types, params, scaling, cutoff, pair=pair, domain=domain
+    )[0]
 
 
 def drift_batch(
@@ -330,8 +270,10 @@ def drift_batch(
     All samples share the same type assignment (as in the paper's
     experiments), which lets the per-pair parameter matrices be computed once
     and broadcast across the ensemble axis.  ``pair`` allows the caller to
-    reuse those matrices across time steps, and ``domain`` selects the
-    displacement convention (see :func:`drift_single`).
+    reuse those matrices across time steps (``params.pair_matrices(types)``).
+    ``domain`` selects the displacement convention: pairwise displacements
+    go through :meth:`~repro.particles.domain.Domain.displacement`
+    (minimum-image on periodic axes); ``None`` means the free plane.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[-1] != 2:

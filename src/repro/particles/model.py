@@ -1,14 +1,15 @@
-"""The particle system: configuration and single-run simulation.
+"""The particle system: configuration, the step loop and single-run simulation.
 
-This module wires the substrates together for one simulation run: interaction
-parameters (:mod:`repro.particles.types`), the force kernels
-(:mod:`repro.particles.forces`), a neighbour-search backend
-(:mod:`repro.particles.neighbors`), a stochastic integrator
+This module wires the substrates together: interaction parameters
+(:mod:`repro.particles.types`), the drift engines
+(:mod:`repro.particles.engine`), a stochastic integrator
 (:mod:`repro.particles.integrators`) and the equilibrium criterion
 (:mod:`repro.particles.equilibrium`).
 
-Ensembles of runs — the unit of analysis in the paper — are handled by
-:class:`repro.particles.ensemble.EnsembleSimulator`, which shares the
+There is one step loop, :class:`_Stepper`, over ensemble states
+``(m, n, 2)``.  Ensembles of runs — the unit of analysis in the paper — are
+driven through it by :class:`repro.particles.ensemble.EnsembleSimulator`;
+a single :class:`ParticleSystem` run is the ``m = 1`` case.  Both share the
 :class:`SimulationConfig` defined here.
 """
 
@@ -82,11 +83,11 @@ class SimulationConfig:
         ``"euler-maruyama"`` (paper) or ``"heun"``.
     neighbor_backend:
         Neighbour-search backend of the sparse drift engine: ``"kdtree"``
-        (default; strongest on non-uniform single snapshots), ``"cell"``
-        (vectorised spatial hash — the only backend whose batched ensemble
-        query hashes all samples at once, so prefer it for ensembles) or
-        ``"brute"`` (reference implementation; materialises the full
-        distance matrix, useful for testing only).  All backends return
+        (default; one tree per sample, strongest on non-uniform
+        snapshots), ``"cell"`` (vectorised spatial hash of all samples at
+        once, so prefer it for ensembles) or ``"brute"`` (reference
+        implementation; materialises the full distance matrix, useful for
+        testing only).  All backends return
         identical pair sets, so this is purely a performance choice.
     engine:
         Drift-evaluation engine — ``"dense"`` (all-pairs broadcast),
@@ -296,15 +297,84 @@ def _clip_drift(drift: np.ndarray, max_norm: float | None) -> np.ndarray:
     return drift * factor[..., None]
 
 
-class ParticleSystem:
+class _Stepper:
+    """The one step loop of the particle model, over ensemble states ``(m, n, 2)``.
+
+    :class:`~repro.particles.ensemble.EnsembleSimulator` drives it over a
+    ``(batch, n, 2)`` state and :class:`ParticleSystem` over a ``(1, n, 2)``
+    one.  It owns the config's drift engine, the integrator, drift clipping
+    and the adaptive ``"auto"`` re-resolution cadence.
+    """
+
+    def __init__(self, config: SimulationConfig) -> None:
+        self.config = config
+        self.engine = engine_for_config(config)
+        self.domain = config.resolved_domain
+        self.integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
+        adaptive = isinstance(self.engine, AdaptiveDriftEngine)
+        self.reresolve_every = config.auto_reresolve_every if adaptive else 0
+
+    def drift(self, positions: np.ndarray) -> np.ndarray:
+        """Clipped deterministic drift of an ``(m, n, 2)`` state."""
+        return _clip_drift(self.engine.drift_batch(positions), self.config.max_drift_norm)
+
+    def step(
+        self, positions: np.ndarray, rng: np.random.Generator, step: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance to recorded step ``step``; return the new state and its clipped drift.
+
+        One recorded step is ``config.substeps`` integration steps.  Every
+        ``auto_reresolve_every`` recorded steps an adaptive engine re-checks
+        dense vs sparse against the new state — bit-identical kernels make
+        the switch invisible in the trajectory.
+        """
+        config = self.config
+        for _ in range(config.substeps):
+            positions = self.integrator.step(positions, self.drift, config.dt, rng, self.domain)
+        drift = self.drift(positions)
+        if self.reresolve_every and step % self.reresolve_every == 0:
+            self.engine.reresolve(positions)
+        return positions, drift
+
+
+class _Observable:
+    """Step-observer hook shared by ParticleSystem and EnsembleSimulator.
+
+    Observers (see :class:`repro.monitor.observer.StepObserver`) are
+    notified with every *recorded* frame — a read-only view, after the frame
+    has been stored — so they can watch a run without perturbing it: an
+    attached observer leaves the trajectory bit-identical to an unobserved
+    run, and an empty observer list costs nothing.
+    """
+
+    _observers: list
+
+    def add_observer(self, observer) -> None:
+        """Attach a step observer."""
+        self._observers.append(observer)
+
+    def remove_observer(self, observer) -> None:
+        """Detach a previously attached step observer."""
+        self._observers.remove(observer)
+
+    def _notify_observers(self, step: int, frame: np.ndarray) -> None:
+        view = frame.view()
+        view.flags.writeable = False
+        for observer in self._observers:
+            observer.on_step(step, view)
+
+
+class ParticleSystem(_Observable):
     """A single simulation run of the particle model.
 
     The system owns its positions, advances them step by step, tracks the
-    equilibrium criterion and can record a full :class:`Trajectory`.  The
-    drift is evaluated through the engine the configuration selects
-    (:func:`repro.particles.engine.engine_for_config`): dense all-pairs for
-    small or unconstrained collectives, a sparse neighbour-pair kernel for
-    large ones with a pruning cut-off.
+    equilibrium criterion and can record a full :class:`Trajectory`.  A
+    single run is an ``m = 1`` ensemble: the state is held as ``(1, n, 2)``
+    and advanced by the same step loop as
+    :class:`~repro.particles.ensemble.EnsembleSimulator`, through the drift
+    engine the configuration selects
+    (:func:`repro.particles.engine.engine_for_config`).  The public surface
+    — :attr:`positions`, :meth:`drift`, observer frames — is ``(n, 2)``.
     """
 
     def __init__(
@@ -317,9 +387,7 @@ class ParticleSystem:
         self.config = config
         self.rng = as_generator(rng)
         self.types = config.types
-        self._domain = config.resolved_domain
-        self._integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
-        self._engine = engine_for_config(config)
+        self._stepper = _Stepper(config)
         self._equilibrium = EquilibriumDetector(
             threshold=config.equilibrium_threshold, patience=config.equilibrium_patience
         )
@@ -334,11 +402,20 @@ class ParticleSystem:
                 )
             # Externally supplied states are mapped onto the domain's
             # canonical coordinates (identity on the free plane).
-            self.positions = self._domain.wrap(initial_positions.copy())
+            self.positions = config.resolved_domain.wrap(initial_positions.copy())
         self._step_count = 0
-        self._observers: list = []
+        self._observers = []
 
     # ------------------------------------------------------------------ #
+    @property
+    def positions(self) -> np.ndarray:
+        """Current configuration ``(n, 2)`` — a view of the ``(1, n, 2)`` state."""
+        return self._state[0]
+
+    @positions.setter
+    def positions(self, value: np.ndarray) -> None:
+        self._state = np.asarray(value, dtype=float)[None]
+
     @property
     def n_particles(self) -> int:
         return self.config.n_particles
@@ -361,54 +438,21 @@ class ParticleSystem:
     @property
     def engine(self):
         """The resolved :class:`~repro.particles.engine.DriftEngine` of this run."""
-        return self._engine
-
-    def add_observer(self, observer) -> None:
-        """Attach a step observer (see :class:`repro.monitor.observer.StepObserver`).
-
-        Observers are notified with every *recorded* frame during
-        :meth:`run` — a read-only view, after the frame has been stored — so
-        they can watch the trajectory without perturbing it: an attached
-        observer leaves the produced trajectory bit-identical to an
-        unobserved run, and an empty observer list costs nothing.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached step observer."""
-        self._observers.remove(observer)
-
-    def _notify_observers(self, step: int, frame: np.ndarray) -> None:
-        view = frame.view()
-        view.flags.writeable = False
-        for observer in self._observers:
-            observer.on_step(step, view)
+        return self._stepper.engine
 
     def drift(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Deterministic drift at the given (default: current) positions."""
+        """Deterministic (clipped) drift at the given (default: current) ``(n, 2)`` positions."""
         pos = self.positions if positions is None else np.asarray(positions, dtype=float)
-        return _clip_drift(self._engine.drift(pos), self.config.max_drift_norm)
+        if pos.ndim != 2:
+            raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
+        return self._stepper.drift(pos[None])[0]
 
     def step(self) -> np.ndarray:
         """Advance by one recorded time step (``config.substeps`` integration steps)."""
-        for _ in range(self.config.substeps):
-            self.positions = self._integrator.step(
-                self.positions, self.drift, self.config.dt, self.rng, self._domain
-            )
+        self._state, drift = self._stepper.step(self._state, self.rng, self._step_count + 1)
         self._step_count += 1
-        self._equilibrium.update(self.drift())
-        self._maybe_reresolve_engine()
+        self._equilibrium.update(drift[0])
         return self.positions
-
-    def _maybe_reresolve_engine(self) -> None:
-        """Adaptive ``"auto"``: re-check dense vs sparse from the live bounding box."""
-        cadence = self.config.auto_reresolve_every
-        if (
-            cadence
-            and isinstance(self._engine, AdaptiveDriftEngine)
-            and self._step_count % cadence == 0
-        ):
-            self._engine.reresolve(self.positions)
 
     def run(
         self,
@@ -428,7 +472,8 @@ class ParticleSystem:
             returned trajectory then contains only the frames actually taken.
         record:
             When False, only the final frame is kept (single-frame
-            trajectory) — useful for equilibrium-shape studies.
+            trajectory) — useful for equilibrium-shape studies.  Observers
+            are notified only for recorded frames.
         """
         total = self.config.n_steps if n_steps is None else int(n_steps)
         if total < 0:

@@ -1,32 +1,36 @@
 """Neighbour-search backends for the interaction cut-off radius.
 
-These backends feed the sparse drift kernels in
-:mod:`repro.particles.engine`, which serve both the single-run
-:class:`~repro.particles.model.ParticleSystem` and the batched
-:class:`~repro.particles.ensemble.EnsembleSimulator` path.  Whether a run
-uses them at all is decided by ``SimulationConfig.engine``: ``"sparse"``
-forces the neighbour-pair kernel, ``"dense"`` the all-pairs broadcast, and
-``"auto"`` picks sparse only while the cut-off radius is small compared to
-the collective diameter — re-checked during the run when adaptive
-re-resolution is enabled (see :class:`repro.particles.engine.AdaptiveDriftEngine`).
+These backends feed the sparse drift kernel in
+:mod:`repro.particles.engine`.  Whether a run uses them at all is decided by
+``SimulationConfig.engine``: ``"sparse"`` forces the neighbour-pair kernel,
+``"dense"`` the all-pairs broadcast, and ``"auto"`` picks sparse only while
+the cut-off radius is small compared to the collective diameter — re-checked
+during the run when adaptive re-resolution is enabled (see
+:class:`repro.particles.engine.AdaptiveDriftEngine`).
+
+One query per backend
+---------------------
+Every backend implements a single query, :meth:`NeighborSearch.pairs_batch`,
+over an ensemble snapshot ``(m, n, 2)``.  A single configuration is the
+``m = 1`` case: :meth:`NeighborSearch.pairs` and
+:meth:`NeighborSearch.neighbor_lists` are thin wrappers on the base class,
+so every backend returns pairs in lexicographic ``(i, j)`` order.
 
 Choosing a backend
 ------------------
 Three backends trade construction cost against query cost:
 
-* :class:`BruteForceNeighbors` — dense distance matrix, thresholded.  O(n²)
-  time and memory; the reference implementation the others are fuzzed
-  against, useful for testing only.
+* :class:`BruteForceNeighbors` — thresholds the ``(m, n, n)`` distance
+  stack.  O(m·n²) time and memory; the reference implementation the others
+  are fuzzed against, useful for testing only.
 * :class:`CellListNeighbors` — fully vectorised uniform spatial hash with
-  bucket size ``r_c``.  Linear in ``n`` for bounded density, and the only
-  backend with a *native batched* query: :meth:`CellListNeighbors.pairs_batch`
-  hashes a whole ensemble snapshot ``(m, n, 2)`` in one shot by prepending a
-  sample-id coordinate to the cell key, so there is no per-sample Python on
-  the ensemble hot path.  Prefer it for ensembles and for single snapshots
-  at roughly uniform density.
-* :class:`KDTreeNeighbors` — :class:`scipy.spatial.cKDTree` radius query.
-  Good single-snapshot performance for large n with non-uniform density,
-  but its batched query falls back to one tree build + query per sample.
+  bucket size ``r_c``.  Linear in ``n`` for bounded density; it hashes a
+  whole ensemble snapshot in one shot by prepending a sample-id coordinate
+  to the cell key, so there is no per-sample Python on the ensemble hot
+  path.  Prefer it for ensembles and for roughly uniform density.
+* :class:`KDTreeNeighbors` — :class:`scipy.spatial.cKDTree` radius query,
+  one tree build + query per sample.  Good for large n with non-uniform
+  density.
 
 Domains
 -------
@@ -49,10 +53,9 @@ All backends return the same representation: ordered ``int64`` index pairs
 ``(i_idx, j_idx)`` with ``i != j`` and ``dist(i, j) <= radius`` (both
 orientations present), which is what the sparse drift kernel consumes, and
 are pinned against each other by a cross-backend fuzz suite
-(``tests/test_neighbors_fuzz.py``) on all three domains.  A non-finite
-radius is validated centrally: ``NaN`` is rejected by every backend and
-``inf`` means "every ordered pair" everywhere (single and batched queries
-alike).
+(``tests/test_neighbors_fuzz.py``) on every domain.  A non-finite radius
+is validated centrally: ``NaN`` is rejected by every backend and ``inf``
+means "every ordered pair" everywhere.
 """
 
 from __future__ import annotations
@@ -75,34 +78,16 @@ __all__ = [
 
 
 class NeighborSearch(abc.ABC):
-    """Interface of a radius-neighbour search backend."""
+    """Interface of a radius-neighbour search backend.
+
+    Backends implement one query, :meth:`pairs_batch`, over ensemble
+    snapshots ``(m, n, 2)``; the single-configuration :meth:`pairs` and
+    :meth:`neighbor_lists` are its ``m = 1`` case.
+    """
 
     name: str = ""
 
     @abc.abstractmethod
-    def pairs(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return ordered interacting pairs ``(i_idx, j_idx)`` within ``radius``."""
-
-    def neighbor_lists(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> list[np.ndarray]:
-        """Per-particle arrays of neighbour indices, each sorted ascending.
-
-        Derived from :meth:`pairs` with a single lexicographic sort and
-        :func:`numpy.split` on the per-particle counts — no Python loop over
-        pairs, so this stays cheap for large collectives.
-        """
-        n = np.asarray(positions).shape[0]
-        if n == 0:
-            return []
-        i_idx, j_idx = self.pairs(positions, radius, domain)
-        order = np.lexsort((j_idx, i_idx))
-        j_sorted = np.asarray(j_idx, dtype=np.int64)[order]
-        counts = np.bincount(np.asarray(i_idx, dtype=np.int64), minlength=n)
-        return np.split(j_sorted, np.cumsum(counts[:-1]))
-
     def pairs_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,36 +99,37 @@ class NeighborSearch(abc.ABC):
         lexicographic ``(sample, i, j)`` order; sequential accumulation in
         that order reproduces the dense kernel's summation order bit-for-bit
         (the contract :mod:`repro.particles.engine` relies on).
-
-        This generic implementation loops over samples; the cell list
-        overrides it with a single vectorised query over the whole snapshot.
         """
-        positions = _validate_batch(positions, radius)
-        m, n, _ = positions.shape
-        i_parts: list[np.ndarray] = []
-        j_parts: list[np.ndarray] = []
-        for sample in range(m):
-            i_idx, j_idx = self.pairs(positions[sample], radius, domain)
-            offset = sample * n
-            i_parts.append(np.asarray(i_idx, dtype=np.int64) + offset)
-            j_parts.append(np.asarray(j_idx, dtype=np.int64) + offset)
-        if not i_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        i_all = np.concatenate(i_parts)
-        j_all = np.concatenate(j_parts)
-        order = np.lexsort((j_all, i_all))
-        return i_all[order], j_all[order]
+
+    def pairs(
+        self, positions: np.ndarray, radius: float, domain: Domain | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ordered interacting pairs ``(i_idx, j_idx)`` of one ``(n, 2)`` configuration.
+
+        The ``m = 1`` case of :meth:`pairs_batch`, so the pairs come in
+        lexicographic ``(i, j)`` order on every backend.
+        """
+        positions = _validate(positions, radius)
+        return self.pairs_batch(positions[None], radius, domain)
+
+    def neighbor_lists(
+        self, positions: np.ndarray, radius: float, domain: Domain | None = None
+    ) -> list[np.ndarray]:
+        """Per-particle arrays of neighbour indices, each sorted ascending.
+
+        The ``m = 1`` case of :meth:`neighbor_lists_batch`.
+        """
+        positions = _validate(positions, radius)
+        return self.neighbor_lists_batch(positions[None], radius, domain)[0]
 
     def neighbor_lists_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> list[list[np.ndarray]]:
         """Per-sample, per-particle neighbour lists for a batch ``(m, n, 2)``.
 
-        Equivalent to calling :meth:`neighbor_lists` on every sample, but
-        derived from one :meth:`pairs_batch` query plus a single segment
-        split — the indices in each array are *local* to the sample (in
-        ``[0, n)``) and sorted ascending.
+        Derived from one :meth:`pairs_batch` query plus a single segment
+        split — no Python loop over pairs; the indices in each array are
+        *local* to the sample (in ``[0, n)``) and sorted ascending.
         """
         positions = _validate_batch(positions, radius)
         m, n, _ = positions.shape
@@ -196,20 +182,24 @@ class BruteForceNeighbors(NeighborSearch):
 
     name = "brute"
 
-    def pairs(
+    def pairs_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        positions = _validate(positions, radius)
+        """Threshold the ``(m, n, n)`` stack of domain distances in one shot."""
+        positions = _validate_batch(positions, radius)
         domain = get_domain(domain)
-        if not np.isfinite(radius):
-            n = positions.shape[0]
-            i_idx, j_idx = np.nonzero(~np.eye(n, dtype=bool))
-            return i_idx.astype(np.int64), j_idx.astype(np.int64)
-        delta = domain.displacement(positions[:, None, :], positions[None, :, :])
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-        mask = (dist <= radius) & ~np.eye(positions.shape[0], dtype=bool)
-        i_idx, j_idx = np.nonzero(mask)
-        return i_idx.astype(np.int64), j_idx.astype(np.int64)
+        n = positions.shape[1]
+        off_diagonal = ~np.eye(n, dtype=bool)
+        if np.isfinite(radius):
+            delta = domain.displacement(positions[:, :, None, :], positions[:, None, :, :])
+            dist = np.sqrt(np.einsum("mijk,mijk->mij", delta, delta))
+            mask = (dist <= radius) & off_diagonal
+        else:
+            mask = np.broadcast_to(off_diagonal, (positions.shape[0], n, n))
+        # np.nonzero walks the mask in C order: lexicographic (sample, i, j).
+        sample, i_idx, j_idx = np.nonzero(mask)
+        offset = sample.astype(np.int64) * n
+        return offset + i_idx, offset + j_idx
 
 
 # ---------------------------------------------------------------------- #
@@ -229,8 +219,8 @@ def _grid_ids(
     another sample's block.
 
     Returns ``None`` when the id space would overflow ``int64`` (a bounding
-    box more than ~10⁹ cells wide); callers fall back to a loop of
-    per-sample queries in that degenerate regime.
+    box more than ~10⁹ cells wide); the cell list falls back to the kdtree
+    backend in that degenerate regime.
     """
     cells = np.floor(positions / radius).astype(np.int64)
     cells -= cells.min(axis=0)
@@ -452,52 +442,27 @@ class CellListNeighbors(NeighborSearch):
 
     Candidate pairs are restricted to the 3×3 block of cells around each
     particle, then filtered by exact distance — linear in ``n`` for bounded
-    density, the classic molecular-dynamics cell-list trade-off.  Both the
-    single-snapshot and the batched query are pure array programs (sort +
-    boundary-flag bucket detection + ``searchsorted`` + ragged-arange
-    expansion); there is no Python loop over particles, pairs, cells or
-    samples.
+    density, the classic molecular-dynamics cell-list trade-off.  The query
+    is a pure array program (sort + boundary-flag bucket detection +
+    ``searchsorted`` + ragged-arange expansion); there is no Python loop
+    over particles, pairs, cells or samples.
 
     On a domain with periodic axes the grid becomes *per-axis modular*:
     positions are wrapped into the box, cell ids are taken modulo the axis
     cell count on each periodic axis (where the 3×3 shell wraps around the
     seam) while reflecting axes keep ghost padding — the same pure array
-    program, including the batched sample-id variant, covering the square
-    torus, anisotropic tori and mixed channel geometries alike.
+    program, covering the square torus, anisotropic tori and mixed channel
+    geometries alike.
 
     Degenerate geometries fall out of the same code path: a radius larger
     than the bounding box (or all particles in one cell) degrades to the
     brute-force candidate set, wrapped grids with fewer than three cells
-    along a periodic axis fall back to the minimum-image brute force, and
+    along a periodic axis fall back to the minimum-image brute force, an
+    int64 id-space overflow falls back to the kdtree backend, and
     single-particle or empty systems return empty pair arrays.
     """
 
     name = "cell"
-
-    def pairs(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        positions = _validate(positions, radius)
-        domain = get_domain(domain)
-        if not np.isfinite(radius):
-            return BruteForceNeighbors().pairs(positions, radius, domain)
-        if positions.shape[0] < 2:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if any(domain.periodic_axes):
-            grid = _boxed_grid(domain, radius)
-            if grid is None:  # box too small (or grid too fine) for the wrapped shell
-                return BruteForceNeighbors().pairs(positions, radius, domain)
-            wrapped = domain.wrap(positions)
-            ids = _boxed_cell_ids(wrapped, grid)
-            pairs = _hashed_pairs(wrapped, ids, 0, radius, grid=grid)
-            return _lex_sorted(*pairs, positions.shape[0])
-        grid = _grid_ids(positions, radius)
-        if grid is None:  # astronomically wide bounding box: id space overflow
-            return KDTreeNeighbors().pairs(positions, radius, domain)
-        ids, stride = grid
-        pairs = _hashed_pairs(positions, ids, stride, radius)
-        return _lex_sorted(*pairs, positions.shape[0])
 
     def pairs_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
@@ -515,21 +480,20 @@ class CellListNeighbors(NeighborSearch):
         domain = get_domain(domain)
         m, n, _ = positions.shape
         if m * n == 0 or not np.isfinite(radius):
-            return super().pairs_batch(positions, radius, domain)
+            return BruteForceNeighbors().pairs_batch(positions, radius, domain)
+        sample = np.repeat(np.arange(m, dtype=np.int64), n)
         if any(domain.periodic_axes):
             grid = _boxed_grid(domain, radius, n_blocks=m)
-            if grid is None:
-                return super().pairs_batch(positions, radius, domain)
+            if grid is None:  # box too small (or grid too fine) for the wrapped shell
+                return BruteForceNeighbors().pairs_batch(positions, radius, domain)
             flat = domain.wrap(positions.reshape(m * n, 2))
-            sample = np.repeat(np.arange(m, dtype=np.int64), n)
             ids = _boxed_cell_ids(flat, grid, sample=sample)
             pairs = _hashed_pairs(flat, ids, 0, radius, grid=grid)
             return _lex_sorted(*pairs, m * n)
         flat = positions.reshape(m * n, 2)
-        sample = np.repeat(np.arange(m, dtype=np.int64), n)
         grid = _grid_ids(flat, radius, sample=sample)
-        if grid is None:
-            return super().pairs_batch(positions, radius, domain)
+        if grid is None:  # astronomically wide bounding box: id space overflow
+            return KDTreeNeighbors().pairs_batch(positions, radius, domain)
         ids, stride = grid
         pairs = _hashed_pairs(flat, ids, stride, radius)
         return _lex_sorted(*pairs, m * n)
@@ -547,21 +511,21 @@ class KDTreeNeighbors(NeighborSearch):
 
     name = "kdtree"
 
-    def pairs(
+    def pairs_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        positions = _validate(positions, radius)
+        """One tree build + radius query per sample, merged into lexicographic order."""
+        positions = _validate_batch(positions, radius)
         domain = get_domain(domain)
-        if not np.isfinite(radius):
-            return BruteForceNeighbors().pairs(positions, radius, domain)
-        if positions.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+        m, n, _ = positions.shape
+        if m * n == 0 or not np.isfinite(radius):
+            return BruteForceNeighbors().pairs_batch(positions, radius, domain)
         # The tree prunes on squared distances, which can exclude pairs whose
         # rounded Euclidean distance lands exactly on the radius — pairs the
         # dense kernel includes.  Query a few ulps wide, then apply the same
         # displacement-based sqrt filter as BruteForceNeighbors.
         query_radius = radius * (1.0 + 1e-12)
+        boxsize = None
         if domain.bounded and any(domain.periodic_axes):
             if any(
                 periodic and 2.0 * query_radius >= side
@@ -570,7 +534,7 @@ class KDTreeNeighbors(NeighborSearch):
                 # A periodic tree cannot search past half the box on a
                 # wrapping axis; the minimum-image brute force handles the
                 # tiny-box regime.
-                return BruteForceNeighbors().pairs(positions, radius, domain)
+                return BruteForceNeighbors().pairs_batch(positions, radius, domain)
             # Per-axis topology: a boxsize entry of 0 marks the axis as
             # non-periodic, which is how the mixed channel geometry rides
             # the same periodic tree.
@@ -578,19 +542,26 @@ class KDTreeNeighbors(NeighborSearch):
                 side if periodic else 0.0
                 for side, periodic in zip(domain.extents, domain.periodic_axes)
             ]
-            tree = cKDTree(domain.wrap(positions), boxsize=boxsize)
-        else:
-            tree = cKDTree(positions)
-        unordered = tree.query_pairs(r=query_radius, output_type="ndarray")
-        if unordered.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        delta = domain.displacement(positions[unordered[:, 0]], positions[unordered[:, 1]])
-        keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= radius
-        unordered = unordered[keep]
-        i_idx = np.concatenate([unordered[:, 0], unordered[:, 1]]).astype(np.int64)
-        j_idx = np.concatenate([unordered[:, 1], unordered[:, 0]]).astype(np.int64)
-        return i_idx, j_idx
+        i_parts = [np.empty(0, dtype=np.int64)]
+        j_parts = [np.empty(0, dtype=np.int64)]
+        for sample in range(m):
+            points = positions[sample]
+            if boxsize is None:
+                tree = cKDTree(points)
+            else:
+                tree = cKDTree(domain.wrap(points), boxsize=boxsize)
+            unordered = tree.query_pairs(r=query_radius, output_type="ndarray")
+            if unordered.size == 0:
+                continue
+            delta = domain.displacement(points[unordered[:, 0]], points[unordered[:, 1]])
+            keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= radius
+            unordered = unordered[keep].astype(np.int64) + sample * n
+            i_parts += [unordered[:, 0], unordered[:, 1]]
+            j_parts += [unordered[:, 1], unordered[:, 0]]
+        i_all = np.concatenate(i_parts)
+        j_all = np.concatenate(j_parts)
+        order = np.lexsort((j_all, i_all))
+        return i_all[order], j_all[order]
 
 
 NEIGHBOR_BACKENDS: dict[str, type[NeighborSearch]] = {

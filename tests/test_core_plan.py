@@ -448,6 +448,78 @@ class TestSharedStoreExecution:
         assert leftover == []
 
 
+@pytest.fixture(params=["filesystem", "http"])
+def backend(request, tmp_path):
+    """(client, filesystem store) pairs for both run-store backends."""
+    fs_store = RunStore(tmp_path / "store")
+    if request.param == "filesystem":
+        yield fs_store, fs_store
+        return
+    from repro.io.remote import open_store
+    from repro.io.service import serve_store
+
+    server = serve_store(tmp_path / "store", port=0)
+    thread = server.serve_in_background()
+    yield open_store(server.url), fs_store
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5.0)
+
+
+class TestLeaseRace:
+    """A unit a peer commits between the cache check and the acquire is adopted.
+
+    The window is opened deterministically: the store wrapper below lets a
+    peer lease, commit and release each unit inside this worker's
+    ``try_acquire_lease`` call, just before this worker's own acquire
+    succeeds.  The worker must re-check the store and adopt the peer's
+    result rather than compute the unit again.
+    """
+
+    class PeerCommitsFirst:
+        def __init__(self, inner, peer_results):
+            self._inner = inner
+            self._peer_results = dict(peer_results)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def try_acquire_lease(self, content_hash, owner, ttl_seconds):
+            if content_hash in self._peer_results:
+                unit, result = self._peer_results.pop(content_hash)
+                assert self._inner.try_acquire_lease(content_hash, "peer", ttl_seconds)
+                self._inner.save(unit, result, overwrite=False)
+                self._inner.release_lease(content_hash, "peer")
+            return self._inner.try_acquire_lease(content_hash, owner, ttl_seconds)
+
+    def test_unit_committed_before_the_acquire_is_not_recomputed(
+        self, spec, backend, monkeypatch
+    ):
+        import repro.core.plan as plan_module
+
+        client, fs_store = backend
+        plan = grid(spec, **{"simulation.cutoff": [None, 3.0]})
+        units = plan.units()
+        peer_results = {u.content_hash: (u, u.execute()) for u in units}
+        computed = []
+        real_execute_spec = plan_module._execute_spec
+
+        def counting_execute_spec(*args, **kwargs):
+            computed.append(args[0])
+            return real_execute_spec(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "_execute_spec", counting_execute_spec)
+        execution = plan.execute(self.PeerCommitsFirst(client, peer_results))
+        assert computed == []
+        assert execution.n_computed == 0
+        assert sorted(execution.external) == sorted(u.content_hash for u in units)
+        assert list(fs_store.leases_dir.glob("*.json")) == []
+        for unit, result in zip(units, execution.results):
+            assert result.delta_multi_information == peer_results[
+                unit.content_hash
+            ][1].delta_multi_information
+
+
 class TestObserverFaultInjection:
     """A PlanObserver raising mid-execute corrupts nothing, on either backend.
 
@@ -464,23 +536,6 @@ class TestObserverFaultInjection:
     @pytest.fixture
     def plan(self, spec) -> ExperimentPlan:
         return grid(spec, **{"simulation.cutoff": [None, 3.0]})
-
-    @pytest.fixture(params=["filesystem", "http"])
-    def backend(self, request, tmp_path):
-        """(client, filesystem store) pairs for both run-store backends."""
-        fs_store = RunStore(tmp_path / "store")
-        if request.param == "filesystem":
-            yield fs_store, fs_store
-            return
-        from repro.io.remote import open_store
-        from repro.io.service import serve_store
-
-        server = serve_store(tmp_path / "store", port=0)
-        thread = server.serve_in_background()
-        yield open_store(server.url), fs_store
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
 
     def _assert_clean(self, fs_store: RunStore) -> None:
         assert list(fs_store.leases_dir.glob("*.json")) == []  # no leaked leases

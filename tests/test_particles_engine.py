@@ -18,7 +18,7 @@ from repro.particles.engine import (
     resolve_engine,
     sparse_drift_batch,
 )
-from repro.particles.forces import drift_batch, drift_single
+from repro.particles.forces import drift_batch
 from repro.particles.model import SimulationConfig
 from repro.particles.neighbors import NEIGHBOR_BACKENDS
 from repro.particles.types import InteractionParams
@@ -93,6 +93,8 @@ class TestEngineCallDispatch:
         engine = make_engine("dense", types=types, params=params, scaling="F1")
         with pytest.raises(ValueError):
             engine(np.zeros(4))
+        with pytest.raises(ValueError):
+            engine.drift(np.zeros((3, 8, 2)))
 
     def test_batch_kernel_validates_shapes(self):
         _, types, params = _random_system(seed=9, n=8)
@@ -196,26 +198,6 @@ class TestConfigIntegration:
 
     def test_engine_is_a_drift_engine(self, small_config):
         assert isinstance(engine_for_config(small_config), DriftEngine)
-
-
-class TestDriftSingleVsBatchConsistency:
-    @pytest.mark.parametrize("engine_name", ["dense", "sparse"])
-    def test_batch_rows_match_single(self, engine_name):
-        batch, types, params = _random_system(seed=11, n=15, m=5)
-        engine = make_engine(
-            engine_name, types=types, params=params, scaling="F2", cutoff=3.0
-        )
-        batched = engine.drift_batch(batch)
-        for m in range(batch.shape[0]):
-            np.testing.assert_allclose(
-                batched[m], engine.drift(batch[m]), rtol=0, atol=1e-10
-            )
-
-    def test_matches_reference_drift_single(self):
-        batch, types, params = _random_system(seed=12, n=15)
-        engine = make_engine("sparse", types=types, params=params, scaling="F1", cutoff=2.0)
-        reference = drift_single(batch[0], types, params, "F1", cutoff=2.0)
-        np.testing.assert_allclose(engine.drift(batch[0]), reference, rtol=0, atol=1e-10)
 
 
 class TestCollectiveRadius:

@@ -276,18 +276,6 @@ class TestDriftSingle:
         b = drift_single(positions, types, params, "F1")[perm]
         np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_sparse_pairs_match_dense(self, rng):
-        positions, types, params = _random_system(rng, n=12)
-        cutoff = 2.5
-        from repro.particles.neighbors import BruteForceNeighbors
-
-        pairs = BruteForceNeighbors().pairs(positions, cutoff)
-        dense = drift_single(positions, types, params, "F1", cutoff=cutoff)
-        sparse = drift_single(
-            positions, types, params, "F1", cutoff=cutoff, neighbor_pairs=pairs
-        )
-        np.testing.assert_allclose(sparse, dense, atol=1e-9)
-
     def test_pair_matrices_can_be_reused(self, rng):
         positions, types, params = _random_system(rng)
         pair = params.pair_matrices(types)
@@ -304,15 +292,6 @@ class TestDriftSingle:
 
 
 class TestDriftBatch:
-    def test_matches_single_per_sample(self, rng):
-        params = InteractionParams.random(3, rng=rng)
-        types = rng.integers(0, 3, size=9)
-        batch = rng.uniform(-3, 3, size=(5, 9, 2))
-        batched = drift_batch(batch, types, params, "F1", cutoff=4.0)
-        for m in range(batch.shape[0]):
-            single = drift_single(batch[m], types, params, "F1", cutoff=4.0)
-            np.testing.assert_allclose(batched[m], single, atol=1e-9)
-
     def test_requires_batch_shape(self):
         params = InteractionParams.single_type()
         with pytest.raises(ValueError):

@@ -148,12 +148,22 @@ class TestPairsBatch:
         assert _pairs_as_set(i_idx, j_idx) == expected
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-    def test_lexicographic_order(self, backend):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda backend, batch: backend.pairs_batch(batch, radius=2.5),
+            # Single pairs are pairs_batch at m = 1, so they are sorted on
+            # every backend — the kdtree's included.
+            lambda backend, batch: backend.pairs(batch[0], radius=2.5),
+        ],
+        ids=["pairs_batch", "pairs"],
+    )
+    def test_lexicographic_order(self, backend, query):
         rng = np.random.default_rng(6)
         batch = rng.uniform(-4, 4, size=(2, 15, 2))
-        i_idx, j_idx = backend.pairs_batch(batch, radius=2.5)
+        i_idx, j_idx = query(backend, batch)
         keys = list(zip(i_idx.tolist(), j_idx.tolist()))
-        assert keys == sorted(keys)
+        assert keys and keys == sorted(keys)
 
     def test_validates_shape(self):
         with pytest.raises(ValueError):
@@ -182,8 +192,7 @@ class TestGridIdOverflowFallback:
 
     A bounding box astronomically wider than the cell size makes the padded
     id space overflow int64; ``_grid_ids`` then returns ``None`` and the
-    cell list falls back to the kdtree (single snapshot) or the per-sample
-    loop (batched query).  These paths were previously unexercised.
+    cell list falls back to the kdtree backend's batched query.
     """
 
     def _overflow_cloud(self) -> np.ndarray:
