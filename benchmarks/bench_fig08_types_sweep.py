@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.experiments import fig8_type_sweep
+from repro.core.experiments import fig8_type_sweep_plan
 from repro.viz import bar_chart, save_series_csv
 
 from bench_common import announce, mean_by_key, run_spec
@@ -24,7 +24,7 @@ REDUCED_TYPE_COUNTS = (1, 2, 4, 6, 8, 10)
 def _run_sweep(full_scale: bool) -> dict[tuple[int, int], float]:
     n_types_values = range(1, 11) if full_scale else REDUCED_TYPE_COUNTS
     deltas: dict[tuple[int, int], float] = {}
-    for spec in fig8_type_sweep(full=full_scale, n_types_values=n_types_values):
+    for spec in fig8_type_sweep_plan(full=full_scale, n_types_values=n_types_values).specs():
         result = run_spec(spec)
         repeat = int(spec.name.rsplit("rep", 1)[1])
         deltas[(spec.simulation.n_types, repeat)] = result.delta_multi_information

@@ -63,7 +63,6 @@ from repro.core import (
     SelfOrganizationAnalysis,
     SelfOrganizationResult,
     all_figure_plans,
-    all_figure_specs,
     chain,
     figure_plan,
     grid,
@@ -105,7 +104,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "run_experiment",
-    "all_figure_specs",
     "ExperimentPlan",
     "RunUnit",
     "RunStore",

@@ -15,10 +15,15 @@ without writing Python::
     python -m repro.cli analyze fig5               # §7.3 pairwise transfer entropy
     python -m repro.cli watch fig4 --window 8      # live streaming metrics
 
-``run`` prints the multi-information series as an ASCII plot and writes the
-measurement JSON (plus a CSV of the series) into the output directory; it is
-a thin wrapper over one-unit experiment plans (:mod:`repro.core.plan`).
-``sweep`` executes a whole figure plan against a content-addressed
+Every command that takes a figure id looks it up in the one figure registry
+(:func:`repro.core.experiments.figure_plan`) through one helper, which also
+applies the command's engine/domain, estimator and ``--seed`` overrides and
+its unit limit (``--max-specs`` / ``--max-units``), so all of them see the
+same units, in the same order, under the same names.
+``run`` executes a figure's plan without a store, prints each unit's
+multi-information series as an ASCII plot and writes ``<unit name>.json``
+(the measurement) plus ``<unit name>.csv`` (the series) into the output
+directory.  ``sweep`` executes a whole figure plan against a content-addressed
 :class:`~repro.io.artifacts.RunStore`: units already in the store are served
 from cache bit-identically, freshly computed units are persisted as they
 finish, and ``--n-jobs`` fans the units out across processes.  ``status``
@@ -38,7 +43,7 @@ against one shared store — lease-based dispatch in the plan executor keeps
 them from duplicating work.  ``serve-store`` runs that service over a local
 store directory, and ``query`` answers "figure X at these params" cache-first
 from a store without ever simulating (exit code 1 when units are missing).
-``watch`` runs a figure spec with a live monitor attached
+``watch`` runs a figure's first unit with a live monitor attached
 (:mod:`repro.monitor`): a sliding-window streaming estimator emits metric
 lines and sparklines while the simulation runs, optionally appending the
 stream as JSON Lines (``--emit``) and persisting it next to the run's unit in
@@ -54,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.experiments import ExperimentSpec, all_figure_specs, fig2_force_curves, figure_plan
+from repro.core.experiments import ExperimentSpec, all_figure_plans, fig2_force_curves, figure_plan
 from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver
 from repro.io.artifacts import RunStoreBackend, RunStoreError
 from repro.io.remote import open_store
@@ -345,154 +350,119 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list(args: argparse.Namespace, stream) -> int:
-    specs = all_figure_specs(full=args.full)
-    stream.write(f"{'figure':8s} {'specs':>5s}  {'n':>4s} {'l':>3s} {'force':>5s} {'r_c':>6s}  description\n")
-    for figure, entries in specs.items():
-        first = entries[0]
+    stream.write(f"{'figure':8s} {'units':>5s}  {'n':>4s} {'l':>3s} {'force':>5s} {'r_c':>6s}  description\n")
+    for figure, plan in all_figure_plans(full=args.full).items():
+        first = plan.specs()[0]
         cutoff = "inf" if first.simulation.cutoff is None else f"{first.simulation.cutoff:g}"
         stream.write(
-            f"{figure:8s} {len(entries):5d}  {first.simulation.n_particles:4d} "
+            f"{figure:8s} {len(plan):5d}  {first.simulation.n_particles:4d} "
             f"{first.simulation.n_types:3d} {first.simulation.force:>5s} {cutoff:>6s}  "
             f"{first.description}\n"
         )
     return 0
 
 
-def _apply_engine_overrides(simulation, args: argparse.Namespace):
-    overrides = {}
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
-    if getattr(args, "neighbor_backend", None) is not None:
-        overrides["neighbor_backend"] = args.neighbor_backend
-    if getattr(args, "auto_reresolve_every", None) is not None:
-        overrides["auto_reresolve_every"] = args.auto_reresolve_every
-    if getattr(args, "domain", None) is not None:
-        overrides["domain"] = args.domain
-    return simulation.with_updates(**overrides) if overrides else simulation
+def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
+    """``spec`` with the command's engine/domain, estimator and ``--seed`` overrides.
 
+    A flag the command does not define reads as unset.  ``watch`` and
+    ``analyze`` have a ``--workers`` of their own (for their estimators), so
+    ``--workers`` reaches the measurement config only on the commands that
+    also take ``--estimator-backend``.
+    """
 
-def _apply_analysis_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    overrides = {}
-    if getattr(args, "estimator_backend", None) is not None:
-        overrides["estimator_backend"] = args.estimator_backend
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if not overrides:
-        return spec
-    return spec.with_updates(analysis=replace(spec.analysis, **overrides))
+    def given(*names: str) -> dict:
+        return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
-
-def _run_spec(spec: ExperimentSpec, args: argparse.Namespace, stream) -> dict:
-    # `run` is a thin wrapper over a one-unit plan (no store: always compute).
-    # Engine/domain overrides were already applied by _command_run.
-    seed = spec.seed if args.seed is None else args.seed
-    spec = spec.with_updates(seed=seed)
-    execution = ExperimentPlan.single(spec).execute(store=None, n_jobs=args.n_jobs)
-    result = execution.results[0]
-    measurement = result.measurement
-    output_dir: Path = args.output
-    save_measurement(output_dir / f"{spec.name}.json", measurement)
-    save_series_csv(
-        output_dir / f"{spec.name}.csv",
-        {"step": measurement.steps, "multi_information_bits": measurement.multi_information},
+    analysis = given("estimator_backend", "workers") if hasattr(args, "estimator_backend") else {}
+    return spec.with_updates(
+        simulation=spec.simulation.with_updates(
+            **given("engine", "neighbor_backend", "auto_reresolve_every", "domain")
+        ),
+        analysis=replace(spec.analysis, **analysis),
+        **given("seed"),
     )
-    if not args.quiet:
-        stream.write(
-            line_plot(
-                {"I(W_1,...,W_n)": measurement.multi_information},
-                x=measurement.steps,
-                title=f"{spec.name}: multi-information (bits) vs time step",
-            )
-            + "\n"
-        )
-    stream.write(
-        f"{spec.name}: delta I = {measurement.delta_multi_information:+.3f} bits "
-        f"(initial {measurement.initial_multi_information:.3f}, "
-        f"final {measurement.final_multi_information:.3f}); "
-        f"results written to {output_dir}/{spec.name}.json\n"
-    )
-    return {"name": spec.name, "delta": measurement.delta_multi_information}
+
+
+def _figure_plan(
+    args: argparse.Namespace, stream, *, first_unit: bool = False
+) -> ExperimentPlan | None:
+    """Resolve ``args.figure`` to its plan, limited and with the overrides applied.
+
+    The one lookup of every command that takes a figure id.  The unit limit
+    (``--max-specs`` / ``--max-units``, or ``first_unit`` for the commands
+    that simulate one unit) is applied before the overrides, so only the
+    units that will run have to accept them.  On a bad id, limit or override
+    it writes a one-line message and returns ``None``.
+    """
+    if args.figure.lower() == "fig2":
+        stream.write("fig2 is analytic; use the 'curves' command instead.\n")
+        return None
+    try:
+        plan = figure_plan(args.figure, full=args.full)
+    except KeyError as exc:
+        stream.write(f"{exc.args[0]}\n")
+        return None
+    for dest in ("max_specs", "max_units"):
+        limit = getattr(args, dest, None)
+        if limit is None:
+            continue
+        if limit < 1:
+            stream.write(f"--{dest.replace('_', '-')} must be >= 1, got {limit}\n")
+            return None
+        plan = plan.limit(limit)
+    if first_unit:
+        plan = plan.limit(1)
+    try:
+        return plan.map_specs(lambda spec: _apply_overrides(spec, args))
+    except (KeyError, ValueError) as exc:
+        # e.g. a malformed --domain spec, a periodic box smaller than twice
+        # the figure's cut-off radius, or workers=0.
+        stream.write(f"invalid engine/domain/estimator override: {exc}\n")
+        return None
 
 
 def _command_run(args: argparse.Namespace, stream) -> int:
-    registry = all_figure_specs(full=args.full)
-    figure = args.figure.lower()
-    if figure == "fig2":
-        stream.write("fig2 is analytic; use the 'curves' command instead.\n")
-        return 2
-    if figure not in registry:
-        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(registry)} (and fig2 via 'curves')\n")
-        return 2
-    specs = registry[figure]
-    if args.max_specs is not None:
-        if args.max_specs < 1:
-            stream.write(f"--max-specs must be >= 1, got {args.max_specs}\n")
-            return 2
-        specs = specs[: args.max_specs]
-    # Apply the engine/domain overrides exactly once; a malformed --domain
-    # spec or a periodic box incompatible with the figure's cut-off
-    # surfaces here as a clean error instead of a traceback.
-    try:
-        specs = [
-            _apply_analysis_overrides(
-                spec.with_updates(simulation=_apply_engine_overrides(spec.simulation, args)),
-                args,
-            )
-            for spec in specs
-        ]
-    except (KeyError, ValueError) as exc:
-        stream.write(f"invalid engine/domain/estimator override: {exc}\n")
+    plan = _figure_plan(args, stream)
+    if plan is None:
         return 2
     if args.neighbor_backend is not None and all(
-        spec.simulation.resolved_engine == "dense" for spec in specs
+        spec.simulation.resolved_engine == "dense" for spec in plan.specs()
     ):
         stream.write(
             "note: --neighbor-backend has no effect here — every run resolves to the "
             "dense engine; pass --engine sparse to force the sparse path.\n"
         )
-    summaries = [_run_spec(spec, args, stream) for spec in specs]
-    if len(summaries) > 1:
-        mean_delta = float(np.mean([s["delta"] for s in summaries]))
-        stream.write(f"{figure}: mean delta I over {len(summaries)} specs = {mean_delta:+.3f} bits\n")
-    return 0
-
-
-def _figure_plan(args: argparse.Namespace, stream) -> ExperimentPlan | None:
-    """Build the (possibly limited, engine-overridden) plan of ``args.figure``."""
-    try:
-        plan = figure_plan(args.figure, full=getattr(args, "full", False))
-    except KeyError as exc:
-        stream.write(f"{exc.args[0]}\n")
-        return None
-    if (
-        getattr(args, "engine", None)
-        or getattr(args, "neighbor_backend", None)
-        or getattr(args, "domain", None)
-        or getattr(args, "auto_reresolve_every", None) is not None
-        or getattr(args, "estimator_backend", None)
-        or getattr(args, "workers", None) is not None
-    ):
-        try:
-            plan = plan.map_specs(
-                lambda spec: _apply_analysis_overrides(
-                    spec.with_updates(
-                        simulation=_apply_engine_overrides(spec.simulation, args)
-                    ),
-                    args,
+    execution = plan.execute(store=None, n_jobs=args.n_jobs)
+    output_dir: Path = args.output
+    for unit, result in zip(execution.units, execution.results):
+        measurement = result.measurement
+        save_measurement(output_dir / f"{unit.name}.json", measurement)
+        save_series_csv(
+            output_dir / f"{unit.name}.csv",
+            {"step": measurement.steps, "multi_information_bits": measurement.multi_information},
+        )
+        if not args.quiet:
+            stream.write(
+                line_plot(
+                    {"I(W_1,...,W_n)": measurement.multi_information},
+                    x=measurement.steps,
+                    title=f"{unit.name}: multi-information (bits) vs time step",
                 )
+                + "\n"
             )
-        except (KeyError, ValueError) as exc:
-            # e.g. a malformed --domain spec, a periodic box smaller than
-            # twice the figure's cut-off radius, or workers=0.
-            stream.write(f"invalid engine/domain/estimator override: {exc}\n")
-            return None
-    max_units = getattr(args, "max_units", None)
-    if max_units is not None:
-        if max_units < 1:
-            stream.write(f"--max-units must be >= 1, got {max_units}\n")
-            return None
-        plan = plan.limit(max_units)
-    return plan
+        stream.write(
+            f"{unit.name}: delta I = {measurement.delta_multi_information:+.3f} bits "
+            f"(initial {measurement.initial_multi_information:.3f}, "
+            f"final {measurement.final_multi_information:.3f}); "
+            f"results written to {output_dir}/{unit.name}.json\n"
+        )
+    if len(execution.units) > 1:
+        stream.write(
+            f"{args.figure.lower()}: mean delta I over {len(execution.units)} specs = "
+            f"{execution.mean_delta_multi_information():+.3f} bits\n"
+        )
+    return 0
 
 
 def _open_store(args: argparse.Namespace, stream, *, create: bool) -> RunStoreBackend | None:
@@ -763,18 +733,12 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
     elif args.figure is not None:
         from repro.core.pipeline import run_simulation_only
 
-        registry = all_figure_specs(full=args.full)
-        figure = args.figure.lower()
-        if figure not in registry:
-            stream.write(
-                f"unknown figure {args.figure!r}; available: {', '.join(registry)}\n"
-            )
+        plan = _figure_plan(args, stream, first_unit=True)
+        if plan is None:
             return 2
-        spec = registry[figure][0]
-        simulation = _apply_engine_overrides(spec.simulation, args)
-        seed = spec.seed if args.seed is None else args.seed
+        spec = plan.specs()[0]
         ensemble, _simulator = run_simulation_only(
-            simulation, spec.n_samples, seed=seed, n_jobs=args.n_jobs
+            spec.simulation, spec.n_samples, seed=spec.seed, n_jobs=args.n_jobs
         )
         name = spec.name
     else:
@@ -836,7 +800,7 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
 
 
 def _command_watch(args: argparse.Namespace, stream) -> int:
-    """Run a figure spec with a live monitor attached and stream its metrics.
+    """Run a figure's first unit with a live monitor attached and stream its metrics.
 
     The monitor observes every recorded ensemble frame without perturbing the
     run (the trajectory stays bit-identical to an unobserved one) and each
@@ -852,25 +816,19 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
     from repro.particles.ensemble import EnsembleSimulator
     from repro.viz import sparkline
 
-    registry = all_figure_specs(full=args.full)
-    figure = args.figure.lower()
-    if figure not in registry:
-        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(registry)}\n")
+    plan = _figure_plan(args, stream, first_unit=True)
+    if plan is None:
         return 2
-    spec = registry[figure][0]
-    try:
-        simulation = _apply_engine_overrides(spec.simulation, args)
-        if args.steps is not None:
-            simulation = simulation.with_updates(n_steps=args.steps)
-    except (KeyError, ValueError) as exc:
-        stream.write(f"invalid engine/domain override: {exc}\n")
-        return 2
-    overrides: dict = {"simulation": simulation}
+    spec = plan.specs()[0]
     if args.samples is not None:
-        overrides["n_samples"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    spec = spec.with_updates(**overrides)
+        spec = spec.with_updates(n_samples=args.samples)
+    if args.steps is not None:
+        try:
+            spec = spec.with_updates(simulation=spec.simulation.with_updates(n_steps=args.steps))
+        except ValueError as exc:
+            stream.write(f"watch: --steps {args.steps}: {exc}\n")
+            return 2
+    simulation = spec.simulation
 
     if args.window < 2:
         stream.write(f"--window must be >= 2, got {args.window}\n")
@@ -966,7 +924,7 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
     for name in metrics.metrics():
         values = metrics.values(name)
         stream.write(
-            f"{figure}: {name}: {len(values)} emission(s), last {values[-1]:+.4f} "
+            f"{args.figure.lower()}: {name}: {len(values)} emission(s), last {values[-1]:+.4f} "
             f"bits  |{sparkline(values, width=48)}|\n"
         )
     if args.emit is not None:

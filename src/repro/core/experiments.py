@@ -1,10 +1,14 @@
 """Canonical experiment definitions for every figure of the paper.
 
-Each ``figNN_*`` function returns an :class:`ExperimentSpec` (or a list of
-them, for the parameter sweeps) holding the simulation configuration, the
-ensemble size and the measurement configuration of that figure.  The
-benchmark harness (`benchmarks/`) and the examples consume these specs, so
-the mapping "figure → parameters → code" lives in exactly one place.
+Every simulation-backed figure is defined once, as an
+:class:`~repro.core.plan.ExperimentPlan`, and looked up by id through
+:func:`figure_plan` (``all_figure_plans`` builds them all).  Single-experiment
+figures are written as ``figNN_*`` functions returning one
+:class:`ExperimentSpec` (simulation configuration, ensemble size, measurement
+configuration); the registry wraps each in a one-unit plan.  The parameter
+sweeps (Figs. 8–10) are written directly as ``figNN_*_plan`` functions.  The
+CLI, the benchmark harness (`benchmarks/`) and the examples all go through
+these, so the mapping "figure → parameters → code" lives in exactly one place.
 
 Two scales are provided:
 
@@ -22,15 +26,15 @@ scalings.  For ``F1`` the matrix enters the force directly (Eq. 7).  For
 ``F2`` (Eq. 8) with the paper's ``σ = 1`` the force has no explicit ``r``;
 the repulsion *range* is set by ``τ``.  We map a preferred distance ``r`` to
 ``τ = r²`` so that the repulsion decays on the length scale ``r`` (the
-Gaussian ``e^{-x²/(2τ)}`` has standard width ``√τ = r``).  This substitution
-is recorded in DESIGN.md.
+Gaussian ``e^{-x²/(2τ)}`` has standard width ``√τ = r``).  This deviation
+from the paper is also listed under "Parameter notes" in the README.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,22 +56,11 @@ __all__ = [
     "fig5_single_type_f1",
     "fig6_shape_variety",
     "fig7_ring_alignment",
-    "fig8_type_sweep",
-    "fig9_radius_sweep",
-    "fig10_types_and_radius",
-    "fig11_decomposition",
-    "fig12_emergent_structures",
-    "all_figure_specs",
-    "fig3_equilibria_plan",
-    "fig4_multi_information_plan",
-    "fig5_single_type_f1_plan",
-    "fig6_shape_variety_plan",
-    "fig7_ring_alignment_plan",
     "fig8_type_sweep_plan",
     "fig9_radius_sweep_plan",
     "fig10_types_and_radius_plan",
-    "fig11_decomposition_plan",
-    "fig12_emergent_structures_plan",
+    "fig11_decomposition",
+    "fig12_emergent_structures",
     "figure_plan",
     "all_figure_plans",
 ]
@@ -341,18 +334,20 @@ def fig7_ring_alignment(*, full: bool | None = None, seed: int = 5) -> Experimen
 # --------------------------------------------------------------------------- #
 # Fig. 8 — ΔI vs number of types (F2, random matrices)
 # --------------------------------------------------------------------------- #
-def fig8_type_sweep(
+def fig8_type_sweep_plan(
     *,
     full: bool | None = None,
     n_types_values: Iterable[int] = range(1, 11),
     n_particles: int = 20,
     seed: int = 8,
-) -> list[ExperimentSpec]:
+) -> ExperimentPlan:
     """Fig. 8: increase of multi-information between t=0 and t_max vs number of types.
 
     Each sweep point is repeated with several random preferred-distance
     matrices (r_αβ ∈ [1, 5], as in the caption) and the benchmark averages
-    the ΔI values.
+    the ΔI values.  Every point draws its own matrix, so the interaction
+    parameters are not a sweepable *field*: the plan chains one spec per
+    (type count, repeat) rather than expressing the sweep as a :func:`grid`.
     """
     scale = default_scale(full)
     specs: list[ExperimentSpec] = []
@@ -385,7 +380,7 @@ def fig8_type_sweep(
                     tags=("fig8", "sweep"),
                 )
             )
-    return specs
+    return ExperimentPlan.from_specs(specs)
 
 
 # --------------------------------------------------------------------------- #
@@ -394,95 +389,98 @@ def fig8_type_sweep(
 _FIG9_CUTOFFS: tuple[float | None, ...] = (2.5, 5.0, 7.5, 10.0, 15.0, None)
 
 
-def fig9_radius_sweep(
+def fig9_radius_sweep_plan(
     *,
     full: bool | None = None,
     cutoffs: Iterable[float | None] = _FIG9_CUTOFFS,
     n_particles: int = 20,
     seed: int = 9,
-) -> list[ExperimentSpec]:
-    """Fig. 9: 20 particles, 20 distinct types, F1, varying cut-off radius r_c."""
+) -> ExperimentPlan:
+    """Fig. 9: 20 particles, 20 distinct types, F1, varying cut-off radius r_c.
+
+    The plan is a cut-off :func:`grid` per random-matrix repeat.  The random
+    preferred distances depend only on the repeat index, so the cut-off
+    radius is a pure field sweep — expressed as a grid axis over
+    ``simulation.cutoff`` — and the repeats are chained, so the units come
+    repeat-major (every cut-off of repeat 0, then of repeat 1, ...).
+    """
     scale = default_scale(full)
-    specs: list[ExperimentSpec] = []
-    for cutoff in cutoffs:
-        for repeat in range(scale.sweep_repeats):
-            rng = spawn_generator(derive_seed(seed, "fig9", repeat), 0)
-            params = random_preferred_distance_params(
-                n_particles, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
-            )
-            simulation = SimulationConfig(
+    per_repeat: list[ExperimentPlan] = []
+    for repeat in range(scale.sweep_repeats):
+        rng = spawn_generator(derive_seed(seed, "fig9", repeat), 0)
+        params = random_preferred_distance_params(
+            n_particles, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
+        )
+        base = ExperimentSpec(
+            name=f"fig9_rep{repeat}",
+            description=f"Fig. 9 sweep, repeat {repeat} (cut-off radius swept by the plan)",
+            simulation=SimulationConfig(
                 type_counts=tuple([1] * n_particles),
                 params=params,
                 force="F1",
-                cutoff=cutoff,
+                cutoff=None,
                 dt=0.02,
                 substeps=5,
                 n_steps=scale.n_steps,
                 init_radius=4.0,
-            )
-            cutoff_label = "inf" if cutoff is None else f"{cutoff:g}"
-            specs.append(
-                ExperimentSpec(
-                    name=f"fig9_rc{cutoff_label}_rep{repeat}",
-                    description=f"Fig. 9 sweep point: r_c = {cutoff_label}, repeat {repeat}",
-                    simulation=simulation,
-                    n_samples=scale.n_samples,
-                    analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
-                    seed=derive_seed(seed, "fig9-sim", repeat),
-                    expectation="multi-information increases with the cut-off radius",
-                    tags=("fig9", "sweep"),
-                )
-            )
-    return specs
+            ),
+            n_samples=scale.n_samples,
+            analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
+            seed=derive_seed(seed, "fig9-sim", repeat),
+            expectation="multi-information increases with the cut-off radius",
+            tags=("fig9", "sweep"),
+        )
+        per_repeat.append(grid(base, **{"simulation.cutoff": list(cutoffs)}))
+    return chain(*per_repeat)
 
 
-def fig10_types_and_radius(
+def fig10_types_and_radius_plan(
     *,
     full: bool | None = None,
     type_counts: Iterable[int] = (5, 20),
     cutoffs: Iterable[float | None] = (10.0, 15.0, None),
     n_particles: int = 20,
     seed: int = 10,
-) -> list[ExperimentSpec]:
-    """Fig. 10: same sweep as Fig. 9 but comparing l = 20 against l = 5 types."""
+) -> ExperimentPlan:
+    """Fig. 10: the Fig. 9 sweep, comparing l = 20 against l = 5 types.
+
+    The plan is a cut-off :func:`grid` per (type count, repeat) base spec,
+    chained type-count-major, then repeat-major.
+    """
     scale = default_scale(full)
-    specs: list[ExperimentSpec] = []
+    parts: list[ExperimentPlan] = []
     for n_types in type_counts:
         counts = _spread_counts(n_particles, n_types)
-        for cutoff in cutoffs:
-            for repeat in range(scale.sweep_repeats):
-                rng = spawn_generator(derive_seed(seed, "fig10", n_types, repeat), 0)
-                params = random_preferred_distance_params(
-                    n_types, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
-                )
-                simulation = SimulationConfig(
+        for repeat in range(scale.sweep_repeats):
+            rng = spawn_generator(derive_seed(seed, "fig10", n_types, repeat), 0)
+            params = random_preferred_distance_params(
+                n_types, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
+            )
+            base = ExperimentSpec(
+                name=f"fig10_l{n_types}_rep{repeat}",
+                description=(
+                    f"Fig. 10 sweep, l = {n_types}, repeat {repeat} (cut-off swept by the plan)"
+                ),
+                simulation=SimulationConfig(
                     type_counts=counts,
                     params=params,
                     force="F1",
-                    cutoff=cutoff,
+                    cutoff=None,
                     dt=0.02,
                     substeps=5,
                     n_steps=scale.n_steps,
                     init_radius=4.0,
-                )
-                cutoff_label = "inf" if cutoff is None else f"{cutoff:g}"
-                specs.append(
-                    ExperimentSpec(
-                        name=f"fig10_l{n_types}_rc{cutoff_label}_rep{repeat}",
-                        description=(
-                            f"Fig. 10 sweep point: l = {n_types}, r_c = {cutoff_label}, repeat {repeat}"
-                        ),
-                        simulation=simulation,
-                        n_samples=scale.n_samples,
-                        analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
-                        seed=derive_seed(seed, "fig10-sim", n_types, repeat),
-                        expectation=(
-                            "with local interactions, fewer types self-organize more than l = n types"
-                        ),
-                        tags=("fig10", "sweep"),
-                    )
-                )
-    return specs
+                ),
+                n_samples=scale.n_samples,
+                analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
+                seed=derive_seed(seed, "fig10-sim", n_types, repeat),
+                expectation=(
+                    "with local interactions, fewer types self-organize more than l = n types"
+                ),
+                tags=("fig10", "sweep"),
+            )
+            parts.append(grid(base, **{"simulation.cutoff": list(cutoffs)}))
+    return chain(*parts)
 
 
 # --------------------------------------------------------------------------- #
@@ -556,204 +554,39 @@ def fig12_emergent_structures(*, full: bool | None = None, seed: int = 12) -> Ex
 
 
 # --------------------------------------------------------------------------- #
-# plan-returning counterparts
+# registry
 # --------------------------------------------------------------------------- #
-# Every simulation-backed figure factory above has a plan-returning
-# counterpart so sweeps run through the declarative, cache-aware layer
-# (:mod:`repro.core.plan`).  The plans lower to exactly the same simulation /
-# analysis configurations (and hence the same content hashes) as the spec
-# lists — only the unit *names* differ for grid-generated sweep points.
-# Fig. 2 is analytic (no simulation), so it has no plan counterpart.
-def fig3_equilibria_plan(*, full: bool | None = None, seed: int = 3) -> ExperimentPlan:
-    """Fig. 3 as a plan: the three type-count equilibria chained."""
-    return chain(*(single(fig3_equilibria(l, full=full, seed=seed)) for l in (1, 2, 3)))
-
-
-def fig4_multi_information_plan(*, full: bool | None = None, seed: int = 4) -> ExperimentPlan:
-    """Fig. 4 as a one-unit plan."""
-    return single(fig4_multi_information(full=full, seed=seed))
-
-
-def fig5_single_type_f1_plan(*, full: bool | None = None, seed: int = 5) -> ExperimentPlan:
-    """Fig. 5 as a one-unit plan."""
-    return single(fig5_single_type_f1(full=full, seed=seed))
-
-
-def fig6_shape_variety_plan(*, full: bool | None = None, seed: int = 4) -> ExperimentPlan:
-    """Fig. 6 as a one-unit plan."""
-    return single(fig6_shape_variety(full=full, seed=seed))
-
-
-def fig7_ring_alignment_plan(*, full: bool | None = None, seed: int = 5) -> ExperimentPlan:
-    """Fig. 7 as a one-unit plan."""
-    return single(fig7_ring_alignment(full=full, seed=seed))
-
-
-def fig8_type_sweep_plan(
-    *,
-    full: bool | None = None,
-    n_types_values: Iterable[int] = range(1, 11),
-    n_particles: int = 20,
-    seed: int = 8,
-) -> ExperimentPlan:
-    """Fig. 8 as a plan.
-
-    Every sweep point draws its own random preferred-distance matrix, so the
-    interaction parameters are not a sweepable *field* — the plan chains the
-    factory's specs rather than expressing the sweep as a :func:`grid`.
-    """
-    return ExperimentPlan.from_specs(
-        fig8_type_sweep(full=full, n_types_values=n_types_values, n_particles=n_particles, seed=seed)
-    )
-
-
-def fig9_radius_sweep_plan(
-    *,
-    full: bool | None = None,
-    cutoffs: Iterable[float | None] = _FIG9_CUTOFFS,
-    n_particles: int = 20,
-    seed: int = 9,
-) -> ExperimentPlan:
-    """Fig. 9 as a plan: a cut-off :func:`grid` per random-matrix repeat.
-
-    The random preferred distances depend only on the repeat index, so the
-    cut-off radius is a pure field sweep — expressed as a grid axis over
-    ``simulation.cutoff`` — and the repeats are chained.  The lowered units
-    carry the same content hashes as :func:`fig9_radius_sweep`'s specs.
-    """
-    scale = default_scale(full)
-    per_repeat: list[ExperimentPlan] = []
-    for repeat in range(scale.sweep_repeats):
-        rng = spawn_generator(derive_seed(seed, "fig9", repeat), 0)
-        params = random_preferred_distance_params(
-            n_particles, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
-        )
-        base = ExperimentSpec(
-            name=f"fig9_rep{repeat}",
-            description=f"Fig. 9 sweep, repeat {repeat} (cut-off radius swept by the plan)",
-            simulation=SimulationConfig(
-                type_counts=tuple([1] * n_particles),
-                params=params,
-                force="F1",
-                cutoff=None,
-                dt=0.02,
-                substeps=5,
-                n_steps=scale.n_steps,
-                init_radius=4.0,
-            ),
-            n_samples=scale.n_samples,
-            analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
-            seed=derive_seed(seed, "fig9-sim", repeat),
-            expectation="multi-information increases with the cut-off radius",
-            tags=("fig9", "sweep"),
-        )
-        per_repeat.append(grid(base, **{"simulation.cutoff": list(cutoffs)}))
-    return chain(*per_repeat)
-
-
-def fig10_types_and_radius_plan(
-    *,
-    full: bool | None = None,
-    type_counts: Iterable[int] = (5, 20),
-    cutoffs: Iterable[float | None] = (10.0, 15.0, None),
-    n_particles: int = 20,
-    seed: int = 10,
-) -> ExperimentPlan:
-    """Fig. 10 as a plan: a cut-off grid per (type count, repeat) base spec."""
-    scale = default_scale(full)
-    parts: list[ExperimentPlan] = []
-    for n_types in type_counts:
-        counts = _spread_counts(n_particles, n_types)
-        for repeat in range(scale.sweep_repeats):
-            rng = spawn_generator(derive_seed(seed, "fig10", n_types, repeat), 0)
-            params = random_preferred_distance_params(
-                n_types, force="F1", r_range=(2.0, 8.0), k_value=1.0, rng=rng
-            )
-            base = ExperimentSpec(
-                name=f"fig10_l{n_types}_rep{repeat}",
-                description=(
-                    f"Fig. 10 sweep, l = {n_types}, repeat {repeat} (cut-off swept by the plan)"
-                ),
-                simulation=SimulationConfig(
-                    type_counts=counts,
-                    params=params,
-                    force="F1",
-                    cutoff=None,
-                    dt=0.02,
-                    substeps=5,
-                    n_steps=scale.n_steps,
-                    init_radius=4.0,
-                ),
-                n_samples=scale.n_samples,
-                analysis=AnalysisConfig(step_stride=scale.step_stride, k_neighbors=4),
-                seed=derive_seed(seed, "fig10-sim", n_types, repeat),
-                expectation=(
-                    "with local interactions, fewer types self-organize more than l = n types"
-                ),
-                tags=("fig10", "sweep"),
-            )
-            parts.append(grid(base, **{"simulation.cutoff": list(cutoffs)}))
-    return chain(*parts)
-
-
-def fig11_decomposition_plan(*, full: bool | None = None, seed: int = 11) -> ExperimentPlan:
-    """Fig. 11 as a one-unit plan."""
-    return single(fig11_decomposition(full=full, seed=seed))
-
-
-def fig12_emergent_structures_plan(*, full: bool | None = None, seed: int = 12) -> ExperimentPlan:
-    """Fig. 12 as a one-unit plan."""
-    return single(fig12_emergent_structures(full=full, seed=seed))
-
-
-def all_figure_plans(*, full: bool | None = None) -> dict[str, ExperimentPlan]:
-    """Every simulation-backed figure experiment as a plan, keyed by figure id."""
-    return {
-        "fig3": fig3_equilibria_plan(full=full),
-        "fig4": fig4_multi_information_plan(full=full),
-        "fig5": fig5_single_type_f1_plan(full=full),
-        "fig6": fig6_shape_variety_plan(full=full),
-        "fig7": fig7_ring_alignment_plan(full=full),
-        "fig8": fig8_type_sweep_plan(full=full),
-        "fig9": fig9_radius_sweep_plan(full=full),
-        "fig10": fig10_types_and_radius_plan(full=full),
-        "fig11": fig11_decomposition_plan(full=full),
-        "fig12": fig12_emergent_structures_plan(full=full),
-    }
+# One plan factory per simulation-backed figure, keyed by figure id.  Fig. 2 is
+# analytic (no simulation) and is reached through :func:`fig2_force_curves`.
+_FIGURES: dict[str, Callable[[bool | None], ExperimentPlan]] = {
+    "fig3": lambda full: ExperimentPlan.from_specs(
+        fig3_equilibria(l, full=full) for l in (1, 2, 3)
+    ),
+    "fig4": lambda full: single(fig4_multi_information(full=full)),
+    "fig5": lambda full: single(fig5_single_type_f1(full=full)),
+    "fig6": lambda full: single(fig6_shape_variety(full=full)),
+    "fig7": lambda full: single(fig7_ring_alignment(full=full)),
+    "fig8": lambda full: fig8_type_sweep_plan(full=full),
+    "fig9": lambda full: fig9_radius_sweep_plan(full=full),
+    "fig10": lambda full: fig10_types_and_radius_plan(full=full),
+    "fig11": lambda full: single(fig11_decomposition(full=full)),
+    "fig12": lambda full: single(fig12_emergent_structures(full=full)),
+}
 
 
 def figure_plan(figure: str, *, full: bool | None = None) -> ExperimentPlan:
     """Plan of one figure by id (e.g. ``"fig9"``); raises ``KeyError`` if unknown."""
-    plans = all_figure_plans(full=full)
     key = figure.lower()
-    if key not in plans:
+    if key not in _FIGURES:
         raise KeyError(
-            f"unknown figure {figure!r}; simulation-backed figures: {', '.join(plans)}"
+            f"unknown figure {figure!r}; simulation-backed figures: {', '.join(_FIGURES)}"
         )
-    return plans[key]
+    return _FIGURES[key](full)
 
 
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-def all_figure_specs(*, full: bool | None = None) -> dict[str, list[ExperimentSpec]]:
-    """Every simulation-backed figure experiment, keyed by figure id.
-
-    Fig. 2 is analytic (no simulation) and therefore not included here; use
-    :func:`fig2_force_curves` directly.
-    """
-    return {
-        "fig3": [fig3_equilibria(l, full=full) for l in (1, 2, 3)],
-        "fig4": [fig4_multi_information(full=full)],
-        "fig5": [fig5_single_type_f1(full=full)],
-        "fig6": [fig6_shape_variety(full=full)],
-        "fig7": [fig7_ring_alignment(full=full)],
-        "fig8": fig8_type_sweep(full=full),
-        "fig9": fig9_radius_sweep(full=full),
-        "fig10": fig10_types_and_radius(full=full),
-        "fig11": [fig11_decomposition(full=full)],
-        "fig12": [fig12_emergent_structures(full=full)],
-    }
+def all_figure_plans(*, full: bool | None = None) -> dict[str, ExperimentPlan]:
+    """Every simulation-backed figure experiment as a plan, keyed by figure id."""
+    return {figure: build(full) for figure, build in _FIGURES.items()}
 
 
 def _spread_counts(n_particles: int, n_types: int) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Result persistence: JSON summaries, measurement round-trips, run-unit cache.
+"""Result persistence: measurement round-trips and the run-unit cache.
 
 :mod:`repro.io.storage` holds the document (de)serialisation of measurements
 and experiment results; :mod:`repro.io.artifacts` builds the content-addressed
@@ -11,18 +11,11 @@ filesystem store for remote workers.
 
 from repro.io.artifacts import RunStore, RunStoreBackend, RunStoreError
 from repro.io.remote import HTTPRunStore, open_store
-from repro.io.storage import (
-    load_experiment_summary,
-    load_measurement,
-    save_experiment_summary,
-    save_measurement,
-)
+from repro.io.storage import load_measurement, save_measurement
 
 __all__ = [
     "save_measurement",
     "load_measurement",
-    "save_experiment_summary",
-    "load_experiment_summary",
     "RunStore",
     "RunStoreBackend",
     "RunStoreError",

@@ -6,11 +6,12 @@ summaries and measurement series produced by the pipeline are stored as JSON
 documents so they remain human-readable and diff-able.
 
 Both documents round-trip: :func:`load_measurement` restores every series a
-measurement carries (including the per-step decomposition objects) and
-:func:`load_experiment_summary` rebuilds a full
+measurement carries (including the per-step decomposition objects), and
+:func:`experiment_result_from_dict` rebuilds a full
 :class:`~repro.core.pipeline.ExperimentResult` (minus the raw ensemble, which
-lives in its own ``.npz``).  The content-addressed run cache
-(:mod:`repro.io.artifacts`) builds on exactly this round-trip.
+lives in its own ``.npz``) from :func:`experiment_result_to_dict`'s document.
+The content-addressed run cache (:mod:`repro.io.artifacts`) persists exactly
+that document; it is the one stored form of an experiment result.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from repro.particles.model import SimulationConfig
 __all__ = [
     "save_measurement",
     "load_measurement",
-    "save_experiment_summary",
-    "load_experiment_summary",
 ]
 
 
@@ -87,30 +86,3 @@ def experiment_result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
         ensemble=None,
         wall_time_seconds=dict(payload.get("wall_time_seconds", {})),
     )
-
-
-def save_experiment_summary(path: str | Path, result: ExperimentResult) -> Path:
-    """Write the full experiment document (config echo + measurement) to JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(experiment_result_to_dict(result), indent=2, sort_keys=True))
-    return path
-
-
-def load_experiment_summary(path: str | Path) -> ExperimentResult:
-    """Load an experiment written by :func:`save_experiment_summary`.
-
-    The returned :class:`~repro.core.pipeline.ExperimentResult` carries the
-    full configs, the measurement (all series restored) and the diagnostics;
-    only the raw ensemble trajectory — persisted separately as ``.npz`` when
-    requested — is absent.
-    """
-    payload: dict[str, Any] = json.loads(Path(path).read_text())
-    try:
-        return experiment_result_from_dict(payload)
-    except KeyError as exc:
-        raise ValueError(
-            f"{path} is not a complete experiment summary (missing {exc}); summaries "
-            "written before the full config echo was added cannot be loaded back into "
-            "an ExperimentResult — re-run the experiment to regenerate the file"
-        ) from exc

@@ -34,7 +34,7 @@ from repro.alignment import (
 from repro.core.experiments import (
     fig4_multi_information,
     fig5_single_type_f1,
-    fig9_radius_sweep,
+    fig9_radius_sweep_plan,
     fig11_decomposition,
     params_from_preferred_distances,
 )
@@ -390,11 +390,15 @@ def _two_type_config(domain: str, counts=(8, 8)) -> SimulationConfig:
     )
 
 
+def _fig9_simulation(cutoff):
+    return fig9_radius_sweep_plan(full=False, cutoffs=(cutoff,)).specs()[0].simulation
+
+
 _FREE_CORPUS = {
     "fig4": lambda: _simulate(fig4_multi_information(full=False).simulation, 8, 12, 4),
     "fig5": lambda: _simulate(fig5_single_type_f1(full=False).simulation, 8, 12, 5),
-    "fig9": lambda: _simulate(fig9_radius_sweep(full=False, cutoffs=(2.5,))[0].simulation, 10, 12, 9),
-    "fig9-inf": lambda: _simulate(fig9_radius_sweep(full=False, cutoffs=(None,))[0].simulation, 10, 12, 10),
+    "fig9": lambda: _simulate(_fig9_simulation(2.5), 10, 12, 9),
+    "fig9-inf": lambda: _simulate(_fig9_simulation(None), 10, 12, 10),
     "fig11": lambda: _simulate(fig11_decomposition(full=False).simulation, 8, 12, 11),
     # Types larger than the dense-search limit go through the shared cKDTree.
     "large-types": lambda: _simulate(_two_type_config("free", counts=(70, 5)), 4, 6, 12),

@@ -52,13 +52,13 @@ class TestParser:
             assert args.workers == 3
 
     def test_estimator_overrides_are_applied_to_the_analysis_config(self):
-        from repro.cli import _apply_analysis_overrides
-        from repro.core.experiments import all_figure_specs
+        from repro.cli import _apply_overrides
+        from repro.core.experiments import figure_plan
 
         args = build_parser().parse_args(
             ["run", "fig5", "--estimator-backend", "auto", "--workers", "-1"]
         )
-        spec = _apply_analysis_overrides(all_figure_specs(full=False)["fig5"][0], args)
+        spec = _apply_overrides(figure_plan("fig5", full=False).specs()[0], args)
         assert spec.analysis.estimator_backend == "auto"
         assert spec.analysis.workers == -1
 
@@ -144,15 +144,15 @@ class TestRunCommand:
         assert args.auto_reresolve_every is None
 
     def test_auto_reresolve_flag_is_parsed_and_applied(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
+        from repro.cli import _apply_overrides
+        from repro.core.experiments import figure_plan
 
         args = build_parser().parse_args(
             ["run", "fig5", "--auto-reresolve-every", "10"]
         )
         assert args.auto_reresolve_every == 10
-        spec = all_figure_specs(full=False)["fig5"][0]
-        assert _apply_engine_overrides(spec.simulation, args).auto_reresolve_every == 10
+        spec = figure_plan("fig5", full=False).specs()[0]
+        assert _apply_overrides(spec, args).simulation.auto_reresolve_every == 10
 
     def test_invalid_engine_is_rejected(self):
         with pytest.raises(SystemExit):
@@ -388,6 +388,50 @@ def tiny_scale(monkeypatch):
     return tiny
 
 
+class TestOneFigureLookup:
+    """Every command resolves a figure id to the same plan units."""
+
+    def test_run_writes_the_unit_that_sweep_and_query_report(self, tmp_path, tiny_scale):
+        from repro.core.experiments import figure_plan
+        from repro.io.storage import load_measurement
+
+        output, store = tmp_path / "out", str(tmp_path / "store")
+        assert main(
+            ["run", "fig9", "--max-specs", "1", "--quiet", "--output", str(output)],
+            stream=io.StringIO(),
+        ) == 0
+        assert main(
+            ["sweep", "fig9", "--max-units", "1", "--quiet", "--store", store],
+            stream=io.StringIO(),
+        ) == 0
+        stream = io.StringIO()
+        payload_path = tmp_path / "query.json"
+        assert main(
+            ["query", "fig9", "--max-units", "1", "--store", store, "--json", str(payload_path)],
+            stream=stream,
+        ) == 0
+        (row,) = json.loads(payload_path.read_text())["units"]
+        first = figure_plan("fig9").units()[0]
+        assert (row["name"], row["content_hash"]) == (first.name, first.content_hash)
+        assert f"cached   {first.name} ({first.content_hash[:12]})" in stream.getvalue()
+        (written,) = output.glob("*.json")
+        assert written.stem == row["name"]
+        assert (
+            load_measurement(written).delta_multi_information
+            == row["delta_multi_information_bits"]
+        )
+
+    def test_list_reports_every_figure_plan_unit_count(self):
+        from repro.core.experiments import all_figure_plans, figure_plan
+
+        stream = io.StringIO()
+        assert main(["list"], stream=stream) == 0
+        counts = {
+            line.split()[0]: int(line.split()[1]) for line in stream.getvalue().splitlines()[1:]
+        }
+        assert counts == {figure: len(figure_plan(figure)) for figure in all_figure_plans()}
+
+
 class TestSweepStatusResume:
     @staticmethod
     def _store_bytes(store_dir):
@@ -535,12 +579,12 @@ class TestDomainFlag:
             assert build_parser().parse_args(argv).domain == argv[-1]
 
     def test_domain_override_is_applied_and_normalised(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
+        from repro.cli import _apply_overrides
+        from repro.core.experiments import figure_plan
 
         args = build_parser().parse_args(["run", "fig5", "--domain", "periodic:8"])
-        spec = all_figure_specs(full=False)["fig5"][0]
-        assert _apply_engine_overrides(spec.simulation, args).domain == "periodic:8.0"
+        spec = figure_plan("fig5", full=False).specs()[0]
+        assert _apply_overrides(spec, args).simulation.domain == "periodic:8.0"
 
     def test_malformed_domain_spec_is_a_clean_error(self, tmp_path, tiny_scale):
         stream = io.StringIO()
@@ -552,10 +596,10 @@ class TestDomainFlag:
         assert "invalid engine/domain/estimator override" in stream.getvalue()
 
     def test_anisotropic_and_channel_specs_are_parsed_on_every_command(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
+        from repro.cli import _apply_overrides
+        from repro.core.experiments import figure_plan
 
-        spec = all_figure_specs(full=False)["fig5"][0]
+        spec = figure_plan("fig5", full=False).specs()[0]
         for raw, canonical in (
             ("periodic:8,4", "periodic:8.0,4.0"),
             ("channel:8,4", "channel:8.0,4.0"),
@@ -564,7 +608,7 @@ class TestDomainFlag:
             ("periodic:8,8", "periodic:8.0"),
         ):
             args = build_parser().parse_args(["run", "fig5", "--domain", raw])
-            assert _apply_engine_overrides(spec.simulation, args).domain == canonical
+            assert _apply_overrides(spec, args).simulation.domain == canonical
 
     @pytest.mark.parametrize(
         "bad_spec",

@@ -118,7 +118,7 @@ class TestWatchCommand:
         # The CLI wires spec -> simulator -> monitor; re-simulating the same
         # spec without a monitor and applying the estimator post hoc must
         # reproduce every emitted value bitwise (dense backend).
-        from repro.core.experiments import all_figure_specs
+        from repro.core.experiments import figure_plan
         from repro.monitor import (
             MetricsStream,
             StreamingMultiInformation,
@@ -133,7 +133,7 @@ class TestWatchCommand:
             stream=io.StringIO(),
         )
         assert code == 0
-        spec = all_figure_specs(full=False)["fig4"][0]
+        spec = figure_plan("fig4", full=False).specs()[0]
         ensemble = EnsembleSimulator(spec.simulation, spec.n_samples, seed=spec.seed).run()
         estimator = StreamingMultiInformation(k=2, backend="dense")
         rows = MetricsStream.load(emit_path)

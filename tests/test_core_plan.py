@@ -11,9 +11,6 @@ import pytest
 
 from repro.core.experiments import (
     ExperimentSpec,
-    all_figure_plans,
-    all_figure_specs,
-    fig9_radius_sweep,
     fig9_radius_sweep_plan,
     figure_plan,
 )
@@ -151,23 +148,10 @@ class TestContentHash:
         assert len(RunUnit(spec).content_hash) == 64
 
 
-class TestFigurePlanCounterparts:
-    def test_every_figure_has_a_plan(self):
-        plans = all_figure_plans()
-        specs = all_figure_specs()
-        assert set(plans) == set(specs)
-
-    def test_plans_lower_to_the_same_hashes_as_the_spec_lists(self):
-        plans = all_figure_plans()
-        specs = all_figure_specs()
-        for figure in specs:
-            plan_hashes = {u.content_hash for u in plans[figure].units()}
-            spec_hashes = {unit_content_hash(s) for s in specs[figure]}
-            assert plan_hashes == spec_hashes, f"{figure} plan diverges from its spec list"
-
+class TestFigurePlans:
     def test_fig9_plan_unit_count(self):
         plan = fig9_radius_sweep_plan(cutoffs=(2.5, None))
-        assert len(plan) == 2 * len(fig9_radius_sweep(cutoffs=(2.5,)))
+        assert len(plan) == 2 * len(fig9_radius_sweep_plan(cutoffs=(2.5,)).specs())
 
     def test_figure_plan_lookup(self):
         assert len(figure_plan("FIG4")) == 1

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.pipeline import run_experiment
 from repro.io.storage import (
-    load_experiment_summary,
+    experiment_result_from_dict,
+    experiment_result_to_dict,
     load_measurement,
-    save_experiment_summary,
     save_measurement,
 )
 
@@ -101,19 +101,23 @@ class TestMeasurementRoundtrip:
         assert loaded.decompositions is None
 
 
-class TestExperimentSummary:
-    def test_summary_file_contents(self, experiment_result, tmp_path):
+class TestExperimentDocument:
+    """The run-store document of an experiment result, through a JSON round-trip."""
+
+    @staticmethod
+    def _json_round_trip(experiment_result):
         import json
 
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        payload = json.loads(path.read_text())
+        return json.loads(json.dumps(experiment_result_to_dict(experiment_result)))
+
+    def test_document_contents(self, experiment_result):
+        payload = self._json_round_trip(experiment_result)
         assert payload["summary"]["n_samples"] == 12
         assert payload["simulation_config"]["force"] == "F1"
         assert len(payload["mean_force_norm"]) == 11
 
-    def test_load_experiment_summary_round_trips(self, experiment_result, tmp_path):
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        loaded = load_experiment_summary(path)
+    def test_document_round_trips(self, experiment_result):
+        loaded = experiment_result_from_dict(self._json_round_trip(experiment_result))
         assert loaded.simulation_config.to_dict() == experiment_result.simulation_config.to_dict()
         assert loaded.analysis_config == experiment_result.analysis_config
         assert loaded.n_samples == experiment_result.n_samples
@@ -129,12 +133,3 @@ class TestExperimentSummary:
         )
         assert loaded.ensemble is None
 
-    def test_legacy_summary_format_gets_a_clear_error(self, experiment_result, tmp_path):
-        import json
-
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        payload = json.loads(path.read_text())
-        del payload["analysis_config"]  # the pre-redesign format lacked the full echo
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="not a complete experiment summary"):
-            load_experiment_summary(path)

@@ -289,14 +289,14 @@ class TestHashCompatibility:
     def test_free_space_hash_is_byte_for_byte_unchanged(self):
         # Pinned against the value computed before the domain field existed
         # (PR 4 era): a warm RunStore keeps serving free-space cache hits.
-        from repro.core.experiments import fig4_multi_information, fig9_radius_sweep
+        from repro.core.experiments import fig4_multi_information, fig9_radius_sweep_plan
 
         assert (
             unit_content_hash(fig4_multi_information())
             == "6e0b73dc24217114046e502520ab5f06815e0831a761fcda9809bd8ef33ee007"
         )
         assert (
-            unit_content_hash(fig9_radius_sweep()[0])
+            unit_content_hash(fig9_radius_sweep_plan().specs()[0])
             == "7079e7e13072e70a848220c8b3101443c6736ae7ca0b992b6cec326073982c4f"
         )
 
