@@ -19,9 +19,12 @@ against the reference); the single-configuration functions are its
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "TypeMatcher",
@@ -149,6 +152,8 @@ class TypeMatcher:
 
     def _tree(self, group: int) -> cKDTree:
         if group not in self._trees:
+            from scipy.spatial import cKDTree
+
             boxsize = None
             if self.domain is not None and any(self.domain.periodic_axes):
                 boxsize = [
@@ -201,6 +206,10 @@ class TypeMatcher:
             if idx.size == 1:
                 perm[:, idx] = idx
                 continue
+            # Imported only here: all-singleton frames (fig9/fig10) never
+            # load scipy.optimize.
+            from scipy.optimize import linear_sum_assignment
+
             target = self.target[idx][None, None, :, :]
             for rows in self._row_chunks(current.shape[0], idx.size):
                 costs = squared_norms(self.displacement(current[rows, idx][:, :, None, :], target))

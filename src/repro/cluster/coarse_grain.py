@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.cluster.kmeans import kmeans
 from repro.parallel.rng import as_generator
@@ -67,6 +66,8 @@ class CoarseGrainedObservers:
 
 def _match_to_reference(centers: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Permutation aligning ``centers`` to ``reference`` (minimal squared distance)."""
+    from scipy.optimize import linear_sum_assignment
+
     delta = centers[:, None, :] - reference[None, :, :]
     cost = np.einsum("ijk,ijk->ij", delta, delta)
     rows, cols = linear_sum_assignment(cost)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "pairwise_euclidean",
@@ -201,6 +200,8 @@ def kth_neighbor_distances(
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must be in [1, m-1] = [1, {m - 1}], got {k}")
     if backend == "kdtree":
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(samples)
         dist, _idx = tree.query(samples, k=k + 1, workers=workers)
         return dist[:, -1]
@@ -237,6 +238,8 @@ class ProductMetricTree:
     """
 
     def __init__(self, blocks: list[np.ndarray], *, workers: int = 1) -> None:
+        from scipy.spatial import cKDTree
+
         blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
         if not blocks:
             raise ValueError("need at least one variable block")
@@ -398,6 +401,8 @@ class EuclideanBallCounter:
     """
 
     def __init__(self, block: np.ndarray, *, workers: int = 1) -> None:
+        from scipy.spatial import cKDTree
+
         block = np.atleast_2d(np.asarray(block, dtype=float))
         if block.ndim != 2:
             raise ValueError("block must be a 2-D sample matrix")

@@ -28,10 +28,12 @@ historical scalar form (``"periodic:8.0"``) so pre-existing content hashes —
 and every warm ``RunStore`` — stay byte-for-byte valid.
 
 Every layer of the particle stack consumes the same two primitives:
-:meth:`Domain.displacement` feeds the force kernels and the exact distance
-filters of all neighbour backends (so dense and sparse drift stay
-bit-identical on every domain), and :meth:`Domain.wrap` is applied by the
-integrators after each step.  :class:`FreeDomain` implements both as exact
+:meth:`Domain.displacement` feeds the sparse force kernel and the exact
+distance filters of all neighbour backends, and :meth:`Domain.wrap` is
+applied by the integrators after each step.  The dense kernel reads the
+same arithmetic through :meth:`Domain.pair_displacements`, its per-axis,
+allocation-free layout (so dense and sparse drift stay bit-identical on
+every domain).  :class:`FreeDomain` implements both as exact
 identities of the existing free-space arithmetic, and the square-box domains
 keep the exact full-array arithmetic of the scalar-box era, which is what
 keeps existing trajectories bit-identical through this generalisation.
@@ -90,11 +92,40 @@ class Domain(abc.ABC):
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Displacement ``a - b`` under this domain's convention.
 
-        Broadcasts like plain subtraction; every force kernel and every
-        neighbour backend's exact distance filter goes through this one
-        function, which is what makes backend and engine choice a pure
-        performance decision on every domain.
+        Broadcasts like plain subtraction; the sparse force kernel and every
+        neighbour backend's exact distance filter go through this one
+        function, and the dense kernel through its per-axis twin
+        :meth:`pair_displacements`, which is what makes backend and engine
+        choice a pure performance decision on every domain.
         """
+
+    def pair_displacements(
+        self, positions: np.ndarray, out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray
+    ) -> None:
+        """All pairwise displacements of a snapshot ``(m, n, 2)``, one axis at a time.
+
+        Writes ``out[c][s, j, i] = displacement(positions[s, i],
+        positions[s, j])[c]`` into two contiguous ``(m, n, n)`` buffers — the
+        ``[sample, j, i]`` layout of the dense drift kernel — using
+        ``scratch`` (same shape) for the periodic image term, so nothing of
+        size ``n²`` is allocated.  Every element is computed by the same
+        float operations as :meth:`displacement`: both ends are wrapped
+        first whenever any axis is periodic (which also folds a channel's
+        reflecting ``y`` axis), and only periodic axes subtract the nearest
+        image.
+        """
+        periodic = self.periodic_axes
+        if any(periodic):
+            positions = self.wrap(positions)
+        for axis, delta in enumerate(out):
+            coord = positions[..., axis]
+            np.subtract(coord[:, None, :], coord[:, :, None], out=delta)
+            if periodic[axis]:
+                side = self.extents[axis]
+                np.divide(delta, side, out=scratch)
+                np.round(scratch, out=scratch)
+                np.multiply(side, scratch, out=scratch)
+                np.subtract(delta, scratch, out=delta)
 
     @abc.abstractmethod
     def wrap(self, positions: np.ndarray) -> np.ndarray:

@@ -9,9 +9,12 @@ engine carries exactly one kernel body.
 
 Two engines are provided:
 
-* :class:`DenseDriftEngine` — the O(n²·m) broadcast kernel.  Fastest for the
-  collective sizes of the paper's experiments (n ≤ 120) and mandatory when no
-  cut-off radius is set (every pair interacts).
+* :class:`DenseDriftEngine` — the O(n²·m) all-pairs kernel
+  (:class:`~repro.particles.forces.DenseDriftKernel`: per-axis ``(m, n, n)``
+  arrays in ``[sample, j, i]`` layout, in a workspace the engine keeps for
+  its lifetime).  Fastest for the collective sizes of the paper's
+  experiments (n ≤ 120) and mandatory when no cut-off radius is set (every
+  pair interacts).
 * :class:`SparseDriftEngine` — neighbour pairs from a
   :class:`~repro.particles.neighbors.NeighborSearch` backend, accumulated with
   a vectorised segment-sum (:func:`numpy.bincount` over flattened pair
@@ -45,11 +48,14 @@ Choosing an engine/backend
 
 Bit-compatibility contract
 --------------------------
-Both engines produce *bit-identical* drift for the same configuration: the
-sparse kernel consumes pairs in lexicographic ``(sample, i, j)`` order (see
-:meth:`~repro.particles.neighbors.NeighborSearch.pairs_batch`), which
-reproduces the dense kernel's sequential summation order exactly, and
-skipped pairs contribute exact zeros in the dense kernel.  Because a single
+Both engines produce *bit-identical* drift for the same configuration.
+There is one summation order, sequential in ``j``: the dense kernel sums
+``Σ_j`` as a reduction over the non-inner ``j`` axis of its ``[sample, j,
+i]`` arrays, and the sparse kernel consumes pairs in lexicographic
+``(sample, i, j)`` order (see
+:meth:`~repro.particles.neighbors.NeighborSearch.pairs_batch`) through one
+:func:`numpy.bincount` per coordinate.  Skipped pairs contribute exact
+zeros in the dense kernel.  Because a single
 configuration goes through the same kernel at ``m = 1``, single runs and
 ensembles share the contract too.  ``tests/test_integration.py`` pins it, so
 trajectories are reproducible across engine choices — and it is what makes
@@ -75,8 +81,8 @@ import numpy as np
 
 from repro.particles.domain import Domain, get_domain
 from repro.particles.forces import (
+    DenseDriftKernel,
     ForceScaling,
-    drift_batch,
     get_force_scaling,
     pair_interaction_weights,
 )
@@ -298,24 +304,23 @@ class DriftEngine(abc.ABC):
 
 
 class DenseDriftEngine(DriftEngine):
-    """All-pairs broadcast kernel; per-pair parameter matrices cached once."""
+    """All-pairs kernel; owns one :class:`~repro.particles.forces.DenseDriftKernel`.
+
+    The kernel caches the transposed per-pair parameter matrices and keeps
+    its workspace for the engine's lifetime, so repeated evaluations (every
+    integration sub-step of a run) allocate nothing of size ``n²``.
+    """
 
     name = "dense"
 
     def __init__(self, types, params, scaling, cutoff=None, *, domain=None) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
-        self._pair = params.pair_matrices(self.types)
+        self._kernel = DenseDriftKernel(
+            self.types, params, self.scaling, self.cutoff, domain=self.domain
+        )
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
-        return drift_batch(
-            positions,
-            self.types,
-            self.params,
-            self.scaling,
-            cutoff=self.cutoff,
-            pair=self._pair,
-            domain=self.domain,
-        )
+        return self._kernel(positions)
 
 
 class SparseDriftEngine(DriftEngine):

@@ -130,11 +130,12 @@ class EnsembleSimulator(_Observable):
         stepper = self._stepper
         positions = np.asarray(initial, dtype=float).copy()
         frames = [positions.copy()]
-        force_norms = [net_force_norms(stepper.drift(positions)).sum(axis=-1)]
+        drift = stepper.drift(positions)
+        force_norms = [net_force_norms(drift).sum(axis=-1)]
         if self._observers:
             self._notify_observers(0, frames[0])
         for step in range(1, self.config.n_steps + 1):
-            positions, drift = stepper.step(positions, rng, step)
+            positions, drift = stepper.step(positions, rng, step, drift)
             frames.append(positions.copy())
             force_norms.append(net_force_norms(drift).sum(axis=-1))
             if self._observers:

@@ -19,8 +19,10 @@ Because the velocity contribution is ``-F(x) Δz`` (the displacement vector is
 pushes them apart, with a magnitude that also grows with distance.
 
 Two drift kernels operate on these scalings, both over ensemble snapshots
-``(m, n, 2)``: the dense all-pairs broadcast :func:`drift_batch` and a
-sparse neighbour-pair segment-sum (:mod:`repro.particles.engine`).  A single
+``(m, n, 2)``: the dense all-pairs :class:`DenseDriftKernel` (one-shot as
+:func:`drift_batch`; it computes on per-axis ``(m, n, n)`` arrays in a
+workspace it reuses across calls) and a sparse neighbour-pair segment-sum
+(:mod:`repro.particles.engine`).  Both sum ``Σ_j`` sequentially in ``j``.  A single
 configuration is the ``m = 1`` case — :func:`drift_single` is a thin
 wrapper over :func:`drift_batch`.  Which kernel runs is selected per
 experiment via ``SimulationConfig.engine`` (``"dense"``/``"sparse"``/
@@ -56,6 +58,7 @@ __all__ = [
     "pair_interaction_weights",
     "drift_single",
     "drift_batch",
+    "DenseDriftKernel",
     "net_force_norms",
     "preferred_distance_curve",
 ]
@@ -71,7 +74,6 @@ class ForceScaling(abc.ABC):
     #: Short identifier used in configs ("F1", "F2").
     name: str = ""
 
-    @abc.abstractmethod
     def scale(
         self,
         distance: np.ndarray,
@@ -80,7 +82,12 @@ class ForceScaling(abc.ABC):
         sigma: np.ndarray,
         tau: np.ndarray,
     ) -> np.ndarray:
-        """Evaluate the scaling on broadcastable arrays of distances/parameters."""
+        """Evaluate the scaling on broadcastable arrays of distances/parameters.
+
+        The built-in scalings implement only :meth:`negated_scale_into`, and
+        this is its exact negation; a custom scaling overrides this instead.
+        """
+        return np.negative(_negated_scale(self, distance, k, r, sigma, tau))
 
     def __call__(self, distance, k, r, sigma, tau) -> np.ndarray:
         return self.scale(
@@ -111,6 +118,38 @@ class ForceScaling(abc.ABC):
             return float(x0)
         return float(x0 - y0 * (x1 - x0) / (y1 - y0))
 
+    def kernel_constants(
+        self, k: np.ndarray, r: np.ndarray, sigma: np.ndarray, tau: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Per-pair constants :meth:`negated_scale_into` consumes.
+
+        Computed once per dense kernel; the default passes the four
+        parameter matrices through unchanged.
+        """
+        return (k, r, sigma, tau)
+
+    def negated_scale_into(
+        self,
+        distance: np.ndarray,
+        constants: tuple[np.ndarray, ...],
+        out: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Write the drift weight ``-F(distance)`` into ``out``.
+
+        The one body of a built-in force law, shared by both drift kernels
+        and :meth:`scale`; ``constants`` come from :meth:`kernel_constants`.
+        ``scratch`` is a buffer shaped like ``out`` that may *be*
+        ``distance``: callers must not read ``distance`` afterwards.  This
+        default is the allocating fallback for a custom scaling that
+        overrides :meth:`scale` only.
+        """
+        if type(self).scale is ForceScaling.scale:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override scale or negated_scale_into"
+            )
+        np.negative(self.scale(distance, *constants), out=out)
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
 
@@ -125,9 +164,16 @@ class LinearAdhesionForce(ForceScaling):
 
     name = "F1"
 
-    def scale(self, distance, k, r, sigma, tau) -> np.ndarray:
-        safe = np.maximum(distance, _DISTANCE_FLOOR)
-        return k * (1.0 - r / safe)
+    def kernel_constants(self, k, r, sigma, tau):
+        return (k, r)
+
+    def negated_scale_into(self, distance, constants, out, scratch) -> None:
+        k, r = constants
+        np.maximum(distance, _DISTANCE_FLOOR, out=out)
+        np.divide(r, out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.multiply(k, out, out=out)
+        np.negative(out, out=out)
 
 
 class GaussianAdhesionForce(ForceScaling):
@@ -140,17 +186,45 @@ class GaussianAdhesionForce(ForceScaling):
 
     name = "F2"
 
-    def scale(self, distance, k, r, sigma, tau) -> np.ndarray:
-        x2 = distance * distance
-        attraction = np.exp(-x2 / (2.0 * sigma)) / (sigma * sigma)
-        repulsion = np.exp(-x2 / (2.0 * tau))
-        return k * (attraction - repulsion)
+    def kernel_constants(self, k, r, sigma, tau):
+        return (k, 2.0 * sigma, sigma * sigma, 2.0 * tau)
+
+    def negated_scale_into(self, distance, constants, out, scratch) -> None:
+        k, two_sigma, sigma_sq, two_tau = constants
+        np.multiply(distance, distance, out=out)
+        np.negative(out, out=out)  # -x², shared by both exponents
+        np.divide(out, two_tau, out=scratch)
+        np.exp(scratch, out=scratch)  # repulsion
+        np.divide(out, two_sigma, out=out)
+        np.exp(out, out=out)
+        np.divide(out, sigma_sq, out=out)  # attraction
+        np.subtract(out, scratch, out=out)
+        np.multiply(k, out, out=out)
+        np.negative(out, out=out)
 
 
 FORCE_SCALINGS: Mapping[str, ForceScaling] = {
     "F1": LinearAdhesionForce(),
     "F2": GaussianAdhesionForce(),
 }
+
+
+def _negated_scale(
+    scaling: ForceScaling,
+    distance: np.ndarray,
+    k: np.ndarray,
+    r: np.ndarray,
+    sigma: np.ndarray,
+    tau: np.ndarray,
+) -> np.ndarray:
+    """``-scaling.scale(...)`` on broadcastable arrays, into fresh buffers."""
+    distance = np.asarray(distance, dtype=float)
+    shapes = (np.shape(a) for a in (k, r, sigma, tau))
+    out = np.empty(np.broadcast_shapes(distance.shape, *shapes))
+    scaling.negated_scale_into(
+        distance, scaling.kernel_constants(k, r, sigma, tau), out, np.empty_like(out)
+    )
+    return out
 
 
 def get_force_scaling(name: str | ForceScaling) -> ForceScaling:
@@ -214,8 +288,8 @@ def pair_interaction_weights(
     :mod:`repro.particles.engine`; self-pairs are *not* masked here
     (neighbour backends never emit them).
     """
-    scaling = get_force_scaling(scaling)
-    weights = -scaling.scale(
+    weights = _negated_scale(
+        get_force_scaling(scaling),
         distance,
         params.k[types_i, types_j],
         params.r[types_i, types_j],
@@ -255,6 +329,96 @@ def drift_single(
     )[0]
 
 
+class DenseDriftKernel:
+    """The dense all-pairs drift kernel, with a workspace reused across calls.
+
+    Evaluates ``Σ_j -F(d_ij) Δz_ij`` for ensemble snapshots ``(m, n, 2)`` of
+    one fixed type assignment.
+
+    * **Layout.**  Every pairwise quantity is a contiguous ``(m, n, n)``
+      array in ``[sample, j, i]`` order, one per coordinate axis
+      (:meth:`~repro.particles.domain.Domain.pair_displacements`), so every
+      step is a flat element-wise ufunc over contiguous memory.  The
+      per-pair parameter matrices are cached transposed to match, together
+      with the scaling's derived constants
+      (:meth:`ForceScaling.kernel_constants`; ``2σ``, ``σ²`` and ``2τ`` for
+      ``F2``).
+    * **Workspace.**  Four float ``(m, n, n)`` buffers, plus a boolean mask
+      under a finite cut-off, are allocated on first use and written with
+      ``out=`` ufuncs on every later call; a call allocates nothing of size
+      ``n²``.  The workspace grows to the largest batch seen and lives as
+      long as the kernel, i.e. as long as the
+      :class:`~repro.particles.engine.DenseDriftEngine` that owns it (for
+      an ensemble, one batch).  One kernel must therefore not be called
+      from two threads at once.
+    * **Summation order.**  ``Σ_j`` is a reduction over the non-inner ``j``
+      axis, which NumPy accumulates sequentially in ``j`` — the one
+      summation order shared with the sparse kernel's per-coordinate
+      :func:`numpy.bincount` over ``(sample, i, j)``-sorted pairs.  That is
+      what keeps dense and sparse drift bit-identical.
+    """
+
+    def __init__(
+        self,
+        types: np.ndarray,
+        params: InteractionParams,
+        scaling: ForceScaling | str,
+        cutoff: float | None = None,
+        *,
+        pair: Mapping[str, np.ndarray] | None = None,
+        domain: Domain | str | None = None,
+    ) -> None:
+        self.types = np.asarray(types, dtype=int)
+        self.scaling = get_force_scaling(scaling)
+        self.cutoff = None if cutoff is None or not np.isfinite(cutoff) else float(cutoff)
+        self.domain = get_domain(domain)
+        if pair is None:
+            pair = params.pair_matrices(self.types)
+        transposed = {
+            key: np.ascontiguousarray(np.asarray(pair[key], dtype=float).T)
+            for key in ("k", "r", "sigma", "tau")
+        }
+        self._constants = self.scaling.kernel_constants(**transposed)
+        n = self.types.size
+        self._buffers = np.empty((4, 0, n, n))
+        self._mask = np.empty((0, n, n), dtype=bool)
+
+    def _workspace(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._buffers.shape[1] < m:
+            n = self.types.size
+            self._buffers = np.empty((4, m, n, n))
+            if self.cutoff is not None:
+                self._mask = np.empty((m, n, n), dtype=bool)
+        return self._buffers[:, :m], self._mask[:m]
+
+    def __call__(self, positions: np.ndarray) -> np.ndarray:
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 3 or positions.shape[-1] != 2:
+            raise ValueError(f"positions must have shape (m, n, 2), got {positions.shape}")
+        m, n, _ = positions.shape
+        if n != self.types.size:
+            raise ValueError(f"positions have {n} particles but types has {self.types.size}")
+        drift = np.empty((m, n, 2))
+        (dx, dy, dist, weights), outside = self._workspace(m)
+        self.domain.pair_displacements(positions, (dx, dy), scratch=weights)
+        np.multiply(dx, dx, out=dist)
+        np.multiply(dy, dy, out=weights)
+        np.add(dist, weights, out=dist)
+        np.sqrt(dist, out=dist)
+        if self.cutoff is not None:
+            # Exactly np.where(dist <= cutoff, w, 0.0): NaN distances drop out.
+            np.less_equal(dist, self.cutoff, out=outside)
+            np.logical_not(outside, out=outside)
+        self.scaling.negated_scale_into(dist, self._constants, out=weights, scratch=dist)
+        weights.reshape(m, n * n)[:, :: n + 1] = 0.0  # no self-interaction
+        if self.cutoff is not None:
+            np.copyto(weights, 0.0, where=outside)
+        for axis, delta in enumerate((dx, dy)):
+            np.multiply(delta, weights, out=delta)
+            np.add.reduce(delta, axis=1, out=drift[..., axis])
+        return drift
+
+
 def drift_batch(
     positions: np.ndarray,
     types: np.ndarray,
@@ -272,26 +436,14 @@ def drift_batch(
     and broadcast across the ensemble axis.  ``pair`` allows the caller to
     reuse those matrices across time steps (``params.pair_matrices(types)``).
     ``domain`` selects the displacement convention: pairwise displacements
-    go through :meth:`~repro.particles.domain.Domain.displacement`
+    follow :meth:`~repro.particles.domain.Domain.displacement`
     (minimum-image on periodic axes); ``None`` means the free plane.
+
+    A one-shot :class:`DenseDriftKernel`; callers that evaluate the drift
+    repeatedly (the :class:`~repro.particles.engine.DenseDriftEngine`) keep
+    one kernel so its workspace is reused.
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 3 or positions.shape[-1] != 2:
-        raise ValueError(f"positions must have shape (m, n, 2), got {positions.shape}")
-    types = np.asarray(types, dtype=int)
-    scaling = get_force_scaling(scaling)
-    domain = get_domain(domain)
-    if pair is None:
-        pair = params.pair_matrices(types)
-    delta = domain.displacement(positions[:, :, None, :], positions[:, None, :, :])
-    dist = np.sqrt(np.einsum("mijk,mijk->mij", delta, delta))
-    weights = -scaling.scale(dist, pair["k"], pair["r"], pair["sigma"], pair["tau"])
-    n = positions.shape[1]
-    eye = np.eye(n, dtype=bool)
-    weights[:, eye] = 0.0
-    if cutoff is not None and np.isfinite(cutoff):
-        weights = np.where(dist <= cutoff, weights, 0.0)
-    return np.einsum("mij,mijk->mik", weights, delta)
+    return DenseDriftKernel(types, params, scaling, cutoff, pair=pair, domain=domain)(positions)
 
 
 def net_force_norms(drift: np.ndarray) -> np.ndarray:

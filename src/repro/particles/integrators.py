@@ -64,8 +64,14 @@ class Integrator(abc.ABC):
         dt: float,
         rng: np.random.Generator,
         domain: Domain | None = None,
+        *,
+        drift: np.ndarray | None = None,
     ) -> np.ndarray:
         """Advance ``positions`` (any shape ``(..., 2)``) by one step of size ``dt``.
+
+        ``drift`` is ``drift_fn(positions)`` when the caller already has it
+        (the step loop hands over the drift it computed for the recorded
+        frame); the step then starts from it instead of re-evaluating it.
 
         When a :class:`~repro.particles.domain.Domain` is given, the updated
         positions are mapped back onto the domain's canonical coordinates
@@ -95,11 +101,12 @@ class EulerMaruyama(Integrator):
 
     name = "euler-maruyama"
 
-    def step(self, positions, drift_fn, dt, rng, domain=None) -> np.ndarray:
+    def step(self, positions, drift_fn, dt, rng, domain=None, *, drift=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         if dt <= 0:
             raise ValueError("dt must be positive")
-        drift = drift_fn(positions)
+        if drift is None:
+            drift = drift_fn(positions)
         moved = positions + dt * drift + self._noise(positions.shape, dt, rng)
         return self._confine(moved, domain)
 
@@ -114,12 +121,12 @@ class StochasticHeun(Integrator):
 
     name = "heun"
 
-    def step(self, positions, drift_fn, dt, rng, domain=None) -> np.ndarray:
+    def step(self, positions, drift_fn, dt, rng, domain=None, *, drift=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         if dt <= 0:
             raise ValueError("dt must be positive")
         noise = self._noise(positions.shape, dt, rng)
-        drift_here = drift_fn(positions)
+        drift_here = drift_fn(positions) if drift is None else drift
         predictor = self._confine(positions + dt * drift_here + noise, domain)
         drift_there = drift_fn(predictor)
         return self._confine(positions + 0.5 * dt * (drift_here + drift_there) + noise, domain)

@@ -319,18 +319,29 @@ class _Stepper:
         return _clip_drift(self.engine.drift_batch(positions), self.config.max_drift_norm)
 
     def step(
-        self, positions: np.ndarray, rng: np.random.Generator, step: int
+        self,
+        positions: np.ndarray,
+        rng: np.random.Generator,
+        step: int,
+        drift: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance to recorded step ``step``; return the new state and its clipped drift.
 
-        One recorded step is ``config.substeps`` integration steps.  Every
+        One recorded step is ``config.substeps`` integration steps.
+        ``drift`` is the clipped drift of ``positions`` if the caller has it
+        — the one the previous call returned — and the first sub-step starts
+        from it, so a recorded step costs ``substeps`` drift evaluations
+        rather than ``substeps + 1`` (twice that under Heun).  Every
         ``auto_reresolve_every`` recorded steps an adaptive engine re-checks
         dense vs sparse against the new state — bit-identical kernels make
         the switch invisible in the trajectory.
         """
         config = self.config
         for _ in range(config.substeps):
-            positions = self.integrator.step(positions, self.drift, config.dt, rng, self.domain)
+            positions = self.integrator.step(
+                positions, self.drift, config.dt, rng, self.domain, drift=drift
+            )
+            drift = None
         drift = self.drift(positions)
         if self.reresolve_every and step % self.reresolve_every == 0:
             self.engine.reresolve(positions)
@@ -405,6 +416,9 @@ class ParticleSystem(_Observable):
             self.positions = config.resolved_domain.wrap(initial_positions.copy())
         self._step_count = 0
         self._observers = []
+        # (state bytes, clipped drift of that state) from the last step: the
+        # next step starts from it unless the state has changed since.
+        self._last_drift: tuple[bytes, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -448,8 +462,20 @@ class ParticleSystem(_Observable):
         return self._stepper.drift(pos[None])[0]
 
     def step(self) -> np.ndarray:
-        """Advance by one recorded time step (``config.substeps`` integration steps)."""
-        self._state, drift = self._stepper.step(self._state, self.rng, self._step_count + 1)
+        """Advance by one recorded time step (``config.substeps`` integration steps).
+
+        The drift the previous step computed for the current state is handed
+        to the first sub-step.  It is reused only while the state is byte for
+        byte the one it was computed for, so assigning :attr:`positions` (or
+        writing into it) between steps simply costs one fresh evaluation.
+        """
+        drift = None
+        if self._last_drift is not None and self._last_drift[0] == self._state.tobytes():
+            drift = self._last_drift[1]
+        self._state, drift = self._stepper.step(
+            self._state, self.rng, self._step_count + 1, drift
+        )
+        self._last_drift = (self._state.tobytes(), drift)
         self._step_count += 1
         self._equilibrium.update(drift[0])
         return self.positions

@@ -63,7 +63,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.particles.domain import Domain, get_domain
 
@@ -515,6 +514,8 @@ class KDTreeNeighbors(NeighborSearch):
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """One tree build + radius query per sample, merged into lexicographic order."""
+        from scipy.spatial import cKDTree
+
         positions = _validate_batch(positions, radius)
         domain = get_domain(domain)
         m, n, _ = positions.shape
@@ -558,10 +559,7 @@ class KDTreeNeighbors(NeighborSearch):
             unordered = unordered[keep].astype(np.int64) + sample * n
             i_parts += [unordered[:, 0], unordered[:, 1]]
             j_parts += [unordered[:, 1], unordered[:, 0]]
-        i_all = np.concatenate(i_parts)
-        j_all = np.concatenate(j_parts)
-        order = np.lexsort((j_all, i_all))
-        return i_all[order], j_all[order]
+        return _lex_sorted(np.concatenate(i_parts), np.concatenate(j_parts), m * n)
 
 
 NEIGHBOR_BACKENDS: dict[str, type[NeighborSearch]] = {

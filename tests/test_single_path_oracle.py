@@ -243,7 +243,8 @@ def _ref_dense_drift(engine, positions):
         engine.params,
         engine.scaling,
         cutoff=engine.cutoff,
-        pair=engine._pair,
+        # The engine's cached matrices, as DenseDriftEngine built them.
+        pair=engine.params.pair_matrices(engine.types),
         domain=engine.domain,
     )
 
