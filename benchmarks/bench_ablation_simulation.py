@@ -7,10 +7,10 @@ Two design choices of the simulation substrate are checked here:
   experiments both must produce statistically equivalent collectives — the
   ablation compares the final radius of gyration and nearest-neighbour
   spacing of matched ensembles.
-* **Neighbour search.**  The cell-list and kd-tree backends must agree with
-  the dense brute-force evaluation while scaling better for large, short-
-  ranged collectives; the ablation times one drift evaluation per backend on
-  a 600-particle collective.
+* **Neighbour search.**  The cell-list backend must agree with the dense
+  brute-force evaluation while scaling better for large, short-ranged
+  collectives; the ablation times one drift evaluation per backend on a
+  600-particle collective.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _neighbor_backend_timing():
     params = InteractionParams.single_type(k=1.0, r=1.0)
     timings = {}
     drifts = {}
-    for backend in ("brute", "cell", "kdtree"):
+    for backend in ("brute", "cell"):
         config = SimulationConfig(
             type_counts=(600,),
             params=params,
@@ -101,6 +101,5 @@ def test_ablation_neighbor_backends(benchmark, output_dir):
         "\n".join(f"  {name:7s}: {seconds*1e3:7.2f} ms per drift evaluation" for name, seconds in timings.items()),
     )
     benchmark.extra_info.update({name: round(seconds * 1e3, 2) for name, seconds in timings.items()})
-    # Correctness: sparse backends reproduce the dense drift exactly.
+    # Correctness: the cell list reproduces the brute-force drift exactly.
     np.testing.assert_allclose(drifts["cell"], drifts["brute"], atol=1e-9)
-    np.testing.assert_allclose(drifts["kdtree"], drifts["brute"], atol=1e-9)

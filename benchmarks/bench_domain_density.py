@@ -3,11 +3,11 @@
 A fixed 2-type collective on the periodic torus, swept over box sides so the
 global density ``n / L²`` ranges from dilute to packed.  For every density
 the ensemble ``drift_batch`` hot path is timed through the dense broadcast
-kernel (minimum-image displacements) and the sparse engine on both wrapped
-backends — the modular-hash cell list (one vectorised query over the whole
-``(m, n, 2)`` snapshot) and the periodic kdtree loop.  The check asserts all
-engines stay bit-identical on the torus and that the sparse cell list beats
-the dense broadcast in the dilute regime the sparse engine exists for.
+kernel (minimum-image displacements) and the sparse engine's modular-hash
+cell list (one vectorised query over the whole ``(m, n, 2)`` snapshot).  The
+check asserts both engines stay bit-identical on the torus and that the
+sparse cell list beats the dense broadcast in the dilute regime the sparse
+engine exists for.
 
 Results land in ``benchmarks/output/domain_density.json`` so the wrapped hot
 path stays measurable across PRs, next to the free-space series of
@@ -57,6 +57,21 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _reference_timings(batch, n: int, repeats: int, common: dict):
+    """Timings dict seeded with the dense broadcast, plus the reference drift.
+
+    The reference is the dense broadcast where its ``(m, n, n)`` workspace
+    fits under the size cap, and the brute-force backend one sample at a
+    time past it.
+    """
+    if n <= DENSE_BATCH_MAX_N:
+        dense = make_engine("dense", **common)
+        timings = {"dense": _best_of(lambda: dense.drift_batch(batch), repeats)}
+        return timings, dense.drift_batch(batch)
+    brute = make_engine("sparse", neighbors="brute", **common)
+    return {}, np.stack([brute.drift(sample) for sample in batch])
+
+
 def run_density_sweep(
     boxes=FULL_BOXES,
     n: int = N_PARTICLES,
@@ -75,17 +90,9 @@ def run_density_sweep(
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF, domain=domain)
 
         cell = make_engine("sparse", neighbors="cell", **common)
-        kdtree = make_engine("sparse", neighbors="kdtree", **common)
-        timings = {
-            "sparse-cell": _best_of(lambda: cell.drift_batch(batch), repeats),
-            "sparse-kdtree": _best_of(lambda: kdtree.drift_batch(batch), repeats),
-        }
-        reference = kdtree.drift_batch(batch)
+        timings, reference = _reference_timings(batch, n, repeats, common)
+        timings["sparse-cell"] = _best_of(lambda: cell.drift_batch(batch), repeats)
         bit_identical = bool(np.array_equal(cell.drift_batch(batch), reference))
-        if n <= DENSE_BATCH_MAX_N:
-            dense = make_engine("dense", **common)
-            timings["dense"] = _best_of(lambda: dense.drift_batch(batch), repeats)
-            bit_identical &= bool(np.array_equal(dense.drift_batch(batch), reference))
         rows.append(
             {
                 "box": float(box),
@@ -129,8 +136,8 @@ def run_mixed_domain_sweep(
     """Time ``drift_batch`` on anisotropic and mixed-boundary domains.
 
     Same contract as the torus density sweep: the modular/padded per-axis
-    cell list, the per-axis periodic kdtree and (when affordable) the dense
-    minimum-image broadcast must agree bit-for-bit; the timings land in the
+    cell list and the dense minimum-image broadcast (the brute-force backend
+    past the dense size cap) must agree bit-for-bit; the timings land in the
     additive ``mixed/<label>/<engine>`` trajectory series.
     """
     rng = np.random.default_rng(seed)
@@ -143,17 +150,9 @@ def run_mixed_domain_sweep(
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF, domain=domain)
 
         cell = make_engine("sparse", neighbors="cell", **common)
-        kdtree = make_engine("sparse", neighbors="kdtree", **common)
-        timings = {
-            "sparse-cell": _best_of(lambda: cell.drift_batch(batch), repeats),
-            "sparse-kdtree": _best_of(lambda: kdtree.drift_batch(batch), repeats),
-        }
-        reference = kdtree.drift_batch(batch)
+        timings, reference = _reference_timings(batch, n, repeats, common)
+        timings["sparse-cell"] = _best_of(lambda: cell.drift_batch(batch), repeats)
         bit_identical = bool(np.array_equal(cell.drift_batch(batch), reference))
-        if n <= DENSE_BATCH_MAX_N:
-            dense = make_engine("dense", **common)
-            timings["dense"] = _best_of(lambda: dense.drift_batch(batch), repeats)
-            bit_identical &= bool(np.array_equal(dense.drift_batch(batch), reference))
         area = domain.extents[0] * domain.extents[1]
         rows.append(
             {

@@ -11,10 +11,6 @@ about the trajectory — only how fast it is computed, which this example
 demonstrates by re-running the identical seed with each engine forced
 end-to-end.
 
-The run uses the ``"cell"`` neighbour backend: its batched spatial hash also
-powers the ensemble comparison at the end, where one vectorised query over
-the whole ``(m, n, 2)`` snapshot replaces the per-sample kdtree loop.
-
 Run with ``PYTHONPATH=src python examples/adaptive_engine_contraction.py``.
 """
 
@@ -24,7 +20,7 @@ import time
 
 import numpy as np
 
-from repro import EnsembleSimulator, InteractionParams, ParticleSystem, SimulationConfig
+from repro import InteractionParams, ParticleSystem, SimulationConfig
 from repro.particles.engine import AdaptiveDriftEngine, collective_radius
 
 
@@ -40,7 +36,6 @@ def make_config(engine: str) -> SimulationConfig:
         n_steps=30,
         noise_variance=0.01,
         engine=engine,
-        neighbor_backend="cell",
         auto_reresolve_every=2,
     )
 
@@ -90,16 +85,6 @@ def main() -> None:
         elapsed = time.perf_counter() - start
         identical = np.array_equal(np.stack(forced), adaptive)
         print(f"  {engine:6s}: {elapsed * 1e3:7.1f} ms, bit-identical to adaptive: {identical}")
-
-    # Ensembles ride the batched cell-list path: one spatial hash over the
-    # whole (m, n, 2) snapshot instead of one kdtree query per sample.
-    print("\nensemble snapshot (m = 32) through both sparse backends:")
-    for backend in ("cell", "kdtree"):
-        config = make_config("sparse").with_updates(neighbor_backend=backend, n_steps=5)
-        start = time.perf_counter()
-        EnsembleSimulator(config, 32, seed=7).run()
-        elapsed = time.perf_counter() - start
-        print(f"  {backend:6s}: {elapsed * 1e3:7.1f} ms for 5 recorded steps")
 
 
 if __name__ == "__main__":

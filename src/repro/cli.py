@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--neighbor-backend", choices=sorted(NEIGHBOR_BACKENDS), default=None,
-            help="override the neighbour-search backend of the sparse engine",
+            help="override the neighbour-search backend of the sparse engine: "
+            "cell (the cell list) or brute (testing reference); kdtree is a "
+            "second spelling of cell, kept so stored configurations keep their hash",
         )
         sub.add_argument(
             "--auto-reresolve-every", type=int, default=None, metavar="K",

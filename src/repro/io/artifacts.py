@@ -553,11 +553,29 @@ class RunStore(RunStoreBackend):
             return None
         return payload
 
-    def _write_lease(self, path: Path, owner: str, ttl_seconds: float) -> None:
+    def _write_lease(
+        self, path: Path, owner: str, ttl_seconds: float, *, exclusive: bool = False
+    ) -> bool:
+        """Publish a complete lease file; ``exclusive`` fails if one exists.
+
+        The payload goes to a uniquely named temporary first, so the lease
+        path never holds a half-written claim: ``os.replace`` overwrites
+        atomically, and the exclusive ``os.link`` publishes only if no lease
+        file exists.
+        """
         payload = json.dumps({"owner": owner, "expires": time.time() + float(ttl_seconds)})
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         tmp.write_text(payload)
-        os.replace(tmp, path)  # advisory state: atomic, but no fsync needed
+        if not exclusive:
+            os.replace(tmp, path)  # advisory state: atomic, but no fsync needed
+            return True
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        finally:
+            tmp.unlink()
+        return True
 
     def try_acquire_lease(
         self,
@@ -568,10 +586,12 @@ class RunStore(RunStoreBackend):
         path = self.lease_path_for(unit_or_hash)
         try:
             self.leases_dir.mkdir(parents=True, exist_ok=True)
-            # The exclusive create is the atomic claim: exactly one of N
-            # concurrent acquirers wins the O_EXCL race on a shared filesystem.
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            # The exclusive link is the atomic claim: exactly one of N
+            # concurrent acquirers wins it on a shared filesystem, and the
+            # lease it publishes is already complete, so no peer ever reads
+            # a claim in the making as an unreadable, stealable one.
+            if self._write_lease(path, owner, ttl_seconds, exclusive=True):
+                return True
             current = self._read_lease(path)
             if current is not None and current["owner"] != owner and current["expires"] > time.time():
                 return False  # held by a live (or at least unexpired) owner
@@ -583,9 +603,6 @@ class RunStore(RunStoreBackend):
             return confirmed is not None and confirmed["owner"] == owner
         except OSError as exc:
             raise RunStoreError(f"cannot write lease in {self.leases_dir}: {exc}") from exc
-        with os.fdopen(fd, "w", encoding="utf8") as handle:
-            handle.write(json.dumps({"owner": owner, "expires": time.time() + float(ttl_seconds)}))
-        return True
 
     def renew_lease(
         self,

@@ -31,7 +31,6 @@ from repro.particles.neighbors import (
     NEIGHBOR_BACKENDS,
     BruteForceNeighbors,
     CellListNeighbors,
-    KDTreeNeighbors,
     NeighborSearch,
     get_neighbor_search,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "NeighborSearch",
     "BruteForceNeighbors",
     "CellListNeighbors",
-    "KDTreeNeighbors",
     "NEIGHBOR_BACKENDS",
     "get_neighbor_search",
     "DRIFT_ENGINES",

@@ -37,12 +37,12 @@ Choosing an engine/backend
 --------------------------
 * n ≲ 200, or no cut-off, or ``r_c`` comparable to the collective diameter —
   ``"dense"`` (what ``"auto"`` resolves to).
-* large n with a genuinely pruning cut-off — ``"sparse"``; pick the
-  neighbour backend by workload: ``"cell"`` for ensembles (its
+* large n with a genuinely pruning cut-off — ``"sparse"``.  Its one
+  neighbour backend is the cell list (``"cell"``, also spelled ``"kdtree"``
+  so stored configurations keep their hash): its
   :meth:`~repro.particles.neighbors.CellListNeighbors.pairs_batch` hashes
-  the whole ``(m, n, 2)`` snapshot in one vectorised query), ``"kdtree"``
-  for strongly non-uniform snapshots (one tree per sample), ``"brute"`` only
-  as a testing reference.
+  the whole ``(m, n, 2)`` snapshot in one vectorised query.  ``"brute"`` is
+  the testing reference.
 * unsure, or the collective contracts over the run — ``"auto"`` with the
   default adaptive re-resolution.
 
@@ -62,7 +62,7 @@ trajectories are reproducible across engine choices — and it is what makes
 adaptive mid-run engine switching safe.
 
 The contract holds on every simulation domain
-(:mod:`repro.particles.domain`): both kernels and all neighbour backends
+(:mod:`repro.particles.domain`): both kernels and both neighbour backends
 compute pairwise displacements through the same
 :meth:`~repro.particles.domain.Domain.displacement`, so dense vs sparse
 stays bit-identical on the periodic torus and in the reflecting box too
@@ -335,7 +335,7 @@ class SparseDriftEngine(DriftEngine):
         scaling,
         cutoff=None,
         *,
-        neighbors: NeighborSearch | str = "kdtree",
+        neighbors: NeighborSearch | str = "cell",
         domain: Domain | str | None = None,
     ) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
@@ -381,7 +381,7 @@ class AdaptiveDriftEngine(DriftEngine):
         scaling,
         cutoff=None,
         *,
-        neighbors: NeighborSearch | str = "kdtree",
+        neighbors: NeighborSearch | str = "cell",
         domain_radius: float | None = None,
         domain: Domain | str | None = None,
     ) -> None:
@@ -452,7 +452,7 @@ def make_engine(
     params: InteractionParams,
     scaling: ForceScaling | str,
     cutoff: float | None = None,
-    neighbors: NeighborSearch | str = "kdtree",
+    neighbors: NeighborSearch | str = "cell",
     domain_radius: float | None = None,
     adaptive: bool = False,
     domain: Domain | str | None = None,

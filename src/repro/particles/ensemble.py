@@ -15,9 +15,9 @@ same seed:
   with batched kernels of shape ``(m, n, 2)`` — dense all-pairs or sparse
   neighbour-pair, whichever the configuration's drift engine selects
   (optionally split into batches bounded by a memory budget).  On the
-  sparse path with ``neighbor_backend="cell"`` the neighbour query itself
-  is batched: the whole snapshot is spatially hashed in one vectorised
-  query, leaving zero per-sample Python in the hot loop, and the adaptive
+  sparse path the neighbour query itself is batched: the cell list hashes
+  the whole snapshot in one vectorised query, leaving zero per-sample
+  Python in the hot loop, and the adaptive
   ``"auto"`` engine re-checks its dense/sparse choice every
   ``auto_reresolve_every`` recorded steps as the collectives contract; and
 * an optional **process-parallel** path (``n_jobs``) that distributes sample

@@ -82,13 +82,13 @@ class SimulationConfig:
     integrator:
         ``"euler-maruyama"`` (paper) or ``"heun"``.
     neighbor_backend:
-        Neighbour-search backend of the sparse drift engine: ``"kdtree"``
-        (default; one tree per sample, strongest on non-uniform
-        snapshots), ``"cell"`` (vectorised spatial hash of all samples at
-        once, so prefer it for ensembles) or ``"brute"`` (reference
-        implementation; materialises the full distance matrix, useful for
-        testing only).  All backends return
-        identical pair sets, so this is purely a performance choice.
+        Neighbour-search backend of the sparse drift engine: ``"cell"``
+        (vectorised spatial hash of all samples at once) or ``"brute"``
+        (reference implementation; materialises the full distance matrix,
+        useful for testing only).  The default ``"kdtree"`` is a second
+        spelling of ``"cell"``, kept so existing configurations keep their
+        content hash.  Both backends return identical pair sets, so this is
+        purely a performance choice.
     engine:
         Drift-evaluation engine — ``"dense"`` (all-pairs broadcast),
         ``"sparse"`` (neighbour-pair segment-sum) or ``"auto"`` (sparse for

@@ -16,21 +16,21 @@ over an ensemble snapshot ``(m, n, 2)``.  A single configuration is the
 :meth:`NeighborSearch.neighbor_lists` are thin wrappers on the base class,
 so every backend returns pairs in lexicographic ``(i, j)`` order.
 
-Choosing a backend
-------------------
-Three backends trade construction cost against query cost:
-
+One backend, one reference
+--------------------------
+* :class:`CellListNeighbors` — the sparse engine's backend: a fully
+  vectorised uniform spatial hash with bucket size ``r_c``.  Linear in ``n``
+  for bounded density; it hashes a whole ensemble snapshot in one shot by
+  prepending a sample-id coordinate to the cell key, so there is no
+  per-sample Python on the ensemble hot path.
 * :class:`BruteForceNeighbors` — thresholds the ``(m, n, n)`` distance
-  stack.  O(m·n²) time and memory; the reference implementation the others
-  are fuzzed against, useful for testing only.
-* :class:`CellListNeighbors` — fully vectorised uniform spatial hash with
-  bucket size ``r_c``.  Linear in ``n`` for bounded density; it hashes a
-  whole ensemble snapshot in one shot by prepending a sample-id coordinate
-  to the cell key, so there is no per-sample Python on the ensemble hot
-  path.  Prefer it for ensembles and for roughly uniform density.
-* :class:`KDTreeNeighbors` — :class:`scipy.spatial.cKDTree` radius query,
-  one tree build + query per sample.  Good for large n with non-uniform
-  density.
+  stack.  O(m·n²) time and memory; the reference the cell list is fuzzed
+  against, and the cell list's fallback in degenerate wrapped geometries.
+
+``"kdtree"`` is kept in :data:`NEIGHBOR_BACKENDS` as a second spelling of
+the cell list, so configurations, CLI invocations and stored units that name
+it keep their exact content hash.  Pair sets are identical and sorted on
+every backend, so the spelling never changes a trajectory.
 
 Domains
 -------
@@ -39,17 +39,15 @@ the default free plane (and in a reflecting box, whose displacements are the
 free-space ones) the geometry is Euclidean; on any domain with a periodic
 axis — the torus (both axes wrap, possibly anisotropic ``Lx ≠ Ly``) or the
 mixed channel (periodic in x, reflecting in y) — distances follow the
-per-axis minimum-image convention and each backend adapts its candidate
-search: the brute force evaluates minimum-image distances directly, the
-kdtree builds a per-axis periodic tree (``cKDTree(boxsize=[Lx, Ly])`` with a
-0 entry on non-periodic axes), and the cell list switches to per-axis
-*modular* cell hashing — the 3×3 neighbourhood wraps around the seam on
-periodic axes and steps into ghost padding on reflecting ones — including
-the batched query.  Degenerate wrapped geometries (fewer than three cells
-along a periodic axis, a cut-off beyond half a periodic extent) fall back to
-the minimum-image brute force so the backends always agree.
+per-axis minimum-image convention.  The brute force evaluates minimum-image
+distances directly, and the cell list switches to per-axis *modular* cell
+hashing — the 3×3 neighbourhood wraps around the seam on periodic axes and
+steps into ghost padding on reflecting ones — including the batched query.
+Degenerate wrapped geometries (fewer than three cells along a periodic axis,
+a cut-off beyond half a periodic extent) fall back to the minimum-image
+brute force so the backends always agree.
 
-All backends return the same representation: ordered ``int64`` index pairs
+Both backends return the same representation: ordered ``int64`` index pairs
 ``(i_idx, j_idx)`` with ``i != j`` and ``dist(i, j) <= radius`` (both
 orientations present), which is what the sparse drift kernel consumes, and
 are pinned against each other by a cross-backend fuzz suite
@@ -70,7 +68,6 @@ __all__ = [
     "NeighborSearch",
     "BruteForceNeighbors",
     "CellListNeighbors",
-    "KDTreeNeighbors",
     "get_neighbor_search",
     "NEIGHBOR_BACKENDS",
 ]
@@ -204,9 +201,12 @@ class BruteForceNeighbors(NeighborSearch):
 # ---------------------------------------------------------------------- #
 # vectorised spatial hash
 # ---------------------------------------------------------------------- #
+_ID_LIMIT = np.iinfo(np.int64).max // 2
+
+
 def _grid_ids(
     positions: np.ndarray, radius: float, sample: np.ndarray | None = None
-) -> tuple[np.ndarray, int] | None:
+) -> tuple[np.ndarray, int]:
     """Flattened, padded cell id per particle, plus the row stride (free plane).
 
     Cells of size ``radius`` are shifted to non-negative coordinates and
@@ -217,21 +217,47 @@ def _grid_ids(
     blocks are padded, the 3×3 neighbourhood of any cell never reaches into
     another sample's block.
 
-    Returns ``None`` when the id space would overflow ``int64`` (a bounding
-    box more than ~10⁹ cells wide); the cell list falls back to the kdtree
-    backend in that degenerate regime.
+    When that id space would overflow ``int64`` (a bounding box more than
+    ~10⁹ cells wide, or a non-finite coordinate), each axis's occupied cell
+    coordinates are rank-compressed instead (:func:`_rank_compressed`), which
+    bounds both extents by ``2·m·n + 3`` and keeps the pair set exact.
     """
-    cells = np.floor(positions / radius).astype(np.int64)
-    cells -= cells.min(axis=0)
-    x_extent = int(cells[:, 0].max()) + 3
-    stride = int(cells[:, 1].max()) + 3
     n_blocks = 1 if sample is None else int(sample[-1]) + 1
-    if n_blocks * x_extent * stride >= np.iinfo(np.int64).max // 2:
-        return None
-    ids = (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
+    # Per-axis 1-D arrays: reductions over a contiguous column are much
+    # faster than axis-0 reductions of the (N, 2) array.
+    scaled = [np.floor(positions[:, axis] / radius) for axis in (0, 1)]
+    lo, hi = [c.min() for c in scaled], [c.max() for c in scaled]
+    # NaN, ±inf and int64-overflowing cell coordinates all fail this test.
+    fits = all(-_ID_LIMIT < low and high < _ID_LIMIT for low, high in zip(lo, hi))
+    if fits:
+        x_extent, stride = (int(high) - int(low) + 3 for low, high in zip(lo, hi))
+        fits = n_blocks * x_extent * stride < _ID_LIMIT
+    if fits:
+        cells_x, cells_y = (c.astype(np.int64) - int(low) for c, low in zip(scaled, lo))
+    else:
+        cells_x, cells_y = (_rank_compressed(c) for c in scaled)
+        x_extent, stride = int(cells_x.max()) + 3, int(cells_y.max()) + 3
+    ids = (cells_x + 1) * stride + (cells_y + 1)
     if sample is not None:
         ids += sample * (x_extent * stride)
     return ids, stride
+
+
+def _rank_compressed(coords: np.ndarray) -> np.ndarray:
+    """One axis of cell coordinates, rank-compressed with every gap capped at 2.
+
+    Equal coordinates stay equal, coordinates one apart stay one apart and
+    all others end up at least two apart, so cell adjacency — all the 3×3
+    shell reads — is preserved exactly, while the coordinates of ``N``
+    particles span at most ``2 · (N - 1)``.  A NaN coordinate joins the
+    ``+inf`` cell: no distance involving it passes the exact filter.  A ±inf
+    cell is adjacent to no finite one, which loses no pair: two distinct
+    finite coordinates within ``radius`` of each other are less than 2⁵³
+    radii from the origin, so their ratio to the radius never overflows.
+    """
+    values, inverse = np.unique(np.where(np.isnan(coords), np.inf, coords), return_inverse=True)
+    steps = np.minimum(np.diff(values), 2.0).astype(np.int64)
+    return np.concatenate([[0], np.cumsum(steps)])[inverse]
 
 
 class _BoxedGrid:
@@ -286,7 +312,7 @@ def _boxed_grid(domain: Domain, radius: float, n_blocks: int = 1) -> "_BoxedGrid
             # floor(L / r_c) + 1 occupied cells plus one ghost on each side.
             axes.append((int(ratio) + 3, False, radius, None))
     (nx, mod_x, side_x, image_x), (ny, mod_y, side_y, image_y) = axes
-    if n_blocks * nx * ny >= np.iinfo(np.int64).max // 2:
+    if n_blocks * nx * ny >= _ID_LIMIT:
         return None
     return _BoxedGrid(nx, ny, mod_x, mod_y, side_x, side_y, image_x, image_y)
 
@@ -456,8 +482,9 @@ class CellListNeighbors(NeighborSearch):
     Degenerate geometries fall out of the same code path: a radius larger
     than the bounding box (or all particles in one cell) degrades to the
     brute-force candidate set, wrapped grids with fewer than three cells
-    along a periodic axis fall back to the minimum-image brute force, an
-    int64 id-space overflow falls back to the kdtree backend, and
+    along a periodic axis fall back to the minimum-image brute force, a
+    free-plane bounding box too wide for ``int64`` cell ids (or a non-finite
+    coordinate) rank-compresses the occupied cell coordinates, and
     single-particle or empty systems return empty pair arrays.
     """
 
@@ -490,82 +517,17 @@ class CellListNeighbors(NeighborSearch):
             pairs = _hashed_pairs(flat, ids, 0, radius, grid=grid)
             return _lex_sorted(*pairs, m * n)
         flat = positions.reshape(m * n, 2)
-        grid = _grid_ids(flat, radius, sample=sample)
-        if grid is None:  # astronomically wide bounding box: id space overflow
-            return KDTreeNeighbors().pairs_batch(positions, radius, domain)
-        ids, stride = grid
+        ids, stride = _grid_ids(flat, radius, sample=sample)
         pairs = _hashed_pairs(flat, ids, stride, radius)
         return _lex_sorted(*pairs, m * n)
-
-
-class KDTreeNeighbors(NeighborSearch):
-    """SciPy cKDTree radius query (good for large n with moderate density).
-
-    On a domain with periodic axes the tree itself is periodic per axis
-    (``cKDTree(boxsize=[Lx, Ly])`` over wrapped coordinates, a 0 entry
-    marking reflecting axes as non-periodic); candidate pairs are re-filtered
-    with the exact minimum-image distance so the pair set matches the
-    brute-force reference bit-for-bit.
-    """
-
-    name = "kdtree"
-
-    def pairs_batch(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One tree build + radius query per sample, merged into lexicographic order."""
-        from scipy.spatial import cKDTree
-
-        positions = _validate_batch(positions, radius)
-        domain = get_domain(domain)
-        m, n, _ = positions.shape
-        if m * n == 0 or not np.isfinite(radius):
-            return BruteForceNeighbors().pairs_batch(positions, radius, domain)
-        # The tree prunes on squared distances, which can exclude pairs whose
-        # rounded Euclidean distance lands exactly on the radius — pairs the
-        # dense kernel includes.  Query a few ulps wide, then apply the same
-        # displacement-based sqrt filter as BruteForceNeighbors.
-        query_radius = radius * (1.0 + 1e-12)
-        boxsize = None
-        if domain.bounded and any(domain.periodic_axes):
-            if any(
-                periodic and 2.0 * query_radius >= side
-                for side, periodic in zip(domain.extents, domain.periodic_axes)
-            ):
-                # A periodic tree cannot search past half the box on a
-                # wrapping axis; the minimum-image brute force handles the
-                # tiny-box regime.
-                return BruteForceNeighbors().pairs_batch(positions, radius, domain)
-            # Per-axis topology: a boxsize entry of 0 marks the axis as
-            # non-periodic, which is how the mixed channel geometry rides
-            # the same periodic tree.
-            boxsize = [
-                side if periodic else 0.0
-                for side, periodic in zip(domain.extents, domain.periodic_axes)
-            ]
-        i_parts = [np.empty(0, dtype=np.int64)]
-        j_parts = [np.empty(0, dtype=np.int64)]
-        for sample in range(m):
-            points = positions[sample]
-            if boxsize is None:
-                tree = cKDTree(points)
-            else:
-                tree = cKDTree(domain.wrap(points), boxsize=boxsize)
-            unordered = tree.query_pairs(r=query_radius, output_type="ndarray")
-            if unordered.size == 0:
-                continue
-            delta = domain.displacement(points[unordered[:, 0]], points[unordered[:, 1]])
-            keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= radius
-            unordered = unordered[keep].astype(np.int64) + sample * n
-            i_parts += [unordered[:, 0], unordered[:, 1]]
-            j_parts += [unordered[:, 1], unordered[:, 0]]
-        return _lex_sorted(np.concatenate(i_parts), np.concatenate(j_parts), m * n)
 
 
 NEIGHBOR_BACKENDS: dict[str, type[NeighborSearch]] = {
     "brute": BruteForceNeighbors,
     "cell": CellListNeighbors,
-    "kdtree": KDTreeNeighbors,
+    # A hash-stable spelling of the cell list (the default of
+    # ``SimulationConfig.neighbor_backend``).
+    "kdtree": CellListNeighbors,
 }
 
 

@@ -399,6 +399,79 @@ class TestLeases:
         store.lease_path_for(self.HASH).write_text("not json {")
         assert store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
 
+    def test_a_peer_preempting_an_acquire_anywhere_never_makes_two_holders(self, tmp_path):
+        # Deterministic interleaving: a line tracer pauses worker-1's acquire
+        # at its k-th executed store line and runs worker-2's whole acquire
+        # there, for every k.  Exactly one of them may end up holding the
+        # lease — in particular, worker-2 must never read a claim worker-1
+        # has created but not yet filled as an unreadable, stealable lease.
+        import sys
+
+        import repro.io.artifacts as artifacts_module
+
+        point = 0
+        while True:
+            store = RunStore(tmp_path / f"store-{point}")
+            lines = iter(range(point + 1))
+            peer: list[bool] = []
+
+            def on_line(frame, event, arg):
+                if event == "line" and next(lines, None) == point:
+                    peer.append(store.try_acquire_lease(self.HASH, "worker-2", 30.0))
+                return on_line
+
+            def on_call(frame, event, arg):
+                return on_line if frame.f_code.co_filename == artifacts_module.__file__ else None
+
+            previous = sys.gettrace()
+            sys.settrace(on_call)
+            try:
+                mine = store.try_acquire_lease(self.HASH, "worker-1", 30.0)
+            finally:
+                sys.settrace(previous)
+            if not peer:  # past worker-1's last line: every point was tried
+                break
+            assert mine != peer[0], f"preempted at line event {point}"
+            holder = json.loads(store.lease_path_for(self.HASH).read_text())["owner"]
+            assert holder == ("worker-1" if mine else "worker-2"), point
+            point += 1
+        assert point > 3
+
+    def test_racing_threads_leave_exactly_one_holder_per_unit(self, tmp_path):
+        # Stress companion of the interleaving test above: more acquirers
+        # than cores, a shortened switch interval, fresh units throughout.
+        import sys
+        import threading
+
+        store = RunStore(tmp_path / "store")
+        hashes = [f"{i:064x}" for i in range(150)]
+        winners: dict[str, list[str]] = {h: [] for h in hashes}
+        barrier = threading.Barrier(4)
+        errors: list[Exception] = []
+
+        def acquirer(owner: str) -> None:
+            try:
+                barrier.wait(timeout=10.0)
+                for content_hash in hashes:
+                    if store.try_acquire_lease(content_hash, owner, 30.0):
+                        winners[content_hash].append(owner)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=acquirer, args=(f"w{i}",)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(len(owners) == 1 for owners in winners.values()), winners
+
     def test_expired_lease_files_are_orphans_once_aged(self, tmp_path):
         import os
 

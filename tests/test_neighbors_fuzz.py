@@ -30,7 +30,8 @@ from repro.particles.types import InteractionParams
 #: Per-push CI runs `-m "not slow and not fuzz"`; the nightly job runs these.
 pytestmark = pytest.mark.fuzz
 
-BACKEND_NAMES = sorted(NEIGHBOR_BACKENDS)
+#: One name per backend class: "kdtree" is a second spelling of the cell list.
+BACKEND_NAMES = [name for name, cls in sorted(NEIGHBOR_BACKENDS.items()) if cls.name == name]
 
 
 def _canonical(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -149,8 +150,8 @@ def _wrapped_fuzz_cloud(seed: int, n: int, box: float, radius: float) -> np.ndar
     radius_fraction=st.floats(min_value=0.01, max_value=1.4),
 )
 def test_all_backends_agree_on_the_torus(seed, n, box, radius_fraction):
-    # radius_fraction > 1/2 exercises the tiny-box fallbacks (cell list with
-    # fewer than three wrapped cells per axis, kdtree past half the box).
+    # radius_fraction > 1/2 exercises the tiny-box fallback (cell list with
+    # fewer than three wrapped cells per axis).
     radius = radius_fraction * box / 2.0
     domain = PeriodicDomain(box=box)
     positions = _wrapped_fuzz_cloud(seed, n, box, radius)
@@ -479,8 +480,8 @@ class TestWrappedExactCutoff:
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_tiny_box_fallback_matches_brute(self, name):
-        # Fewer than three wrapped cells per axis: the cell list (and the
-        # kdtree past half the box) must fall back without disagreeing.
+        # Fewer than three wrapped cells per axis: the cell list must fall
+        # back without disagreeing.
         domain = PeriodicDomain(box=1.0)
         rng = np.random.default_rng(21)
         positions = rng.uniform(0.0, 1.0, size=(14, 2))

@@ -11,7 +11,8 @@ from repro.particles.neighbors import (
     NEIGHBOR_BACKENDS,
     BruteForceNeighbors,
     CellListNeighbors,
-    KDTreeNeighbors,
+    _grid_ids,
+    _rank_compressed,
     get_neighbor_search,
 )
 
@@ -20,7 +21,7 @@ def _pairs_as_set(i_idx, j_idx):
     return set(zip(i_idx.tolist(), j_idx.tolist()))
 
 
-BACKENDS = [BruteForceNeighbors(), CellListNeighbors(), KDTreeNeighbors()]
+BACKENDS = [BruteForceNeighbors(), CellListNeighbors()]
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
@@ -81,7 +82,7 @@ def _boundary_offset(radius: float) -> np.ndarray | None:
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
 def test_cutoff_boundary_pairs_match_brute_force(backend):
-    # Regression: cell/kdtree used to prune on squared distances, dropping
+    # Regression: the cell list used to prune on squared distances, dropping
     # pairs whose rounded distance lands exactly on the radius — pairs the
     # dense drift kernel (and brute force) includes.
     radius = 2.0
@@ -153,7 +154,7 @@ class TestPairsBatch:
         [
             lambda backend, batch: backend.pairs_batch(batch, radius=2.5),
             # Single pairs are pairs_batch at m = 1, so they are sorted on
-            # every backend — the kdtree's included.
+            # every backend.
             lambda backend, batch: backend.pairs(batch[0], radius=2.5),
         ],
         ids=["pairs_batch", "pairs"],
@@ -173,7 +174,8 @@ class TestPairsBatch:
 class TestRegistry:
     def test_lookup_by_name(self):
         assert isinstance(get_neighbor_search("cell"), CellListNeighbors)
-        assert isinstance(get_neighbor_search("kdtree"), KDTreeNeighbors)
+        # "kdtree" is a hash-stable spelling of the cell list.
+        assert isinstance(get_neighbor_search("kdtree"), CellListNeighbors)
 
     def test_instance_passthrough(self):
         backend = CellListNeighbors()
@@ -188,11 +190,12 @@ class TestRegistry:
 
 
 class TestGridIdOverflowFallback:
-    """The int64-overflow escape hatch of the vectorised spatial hash.
+    """The int64-overflow path of the free-plane spatial hash.
 
-    A bounding box astronomically wider than the cell size makes the padded
-    id space overflow int64; ``_grid_ids`` then returns ``None`` and the
-    cell list falls back to the kdtree backend's batched query.
+    A bounding box astronomically wider than the cell size (or a NaN or
+    infinite coordinate) would overflow the padded int64 id space;
+    ``_grid_ids`` then rank-compresses each axis's occupied cell
+    coordinates.  The pair set must stay byte-identical to the brute force.
     """
 
     def _overflow_cloud(self) -> np.ndarray:
@@ -208,42 +211,77 @@ class TestGridIdOverflowFallback:
             ]
         )
 
-    def test_grid_ids_returns_none_on_overflow(self):
-        from repro.particles.neighbors import _grid_ids
+    @staticmethod
+    def _assert_matches_brute(batch: np.ndarray, radius: float) -> None:
+        with np.errstate(invalid="ignore"):  # inf - inf in the distance filters
+            got = CellListNeighbors().pairs_batch(batch, radius)
+            want = BruteForceNeighbors().pairs_batch(batch, radius)
+            for s in range(batch.shape[0]):
+                got_s = CellListNeighbors().pairs(batch[s], radius)
+                want_s = BruteForceNeighbors().pairs(batch[s], radius)
+                for mine, ref in zip(got_s, want_s):
+                    assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+        for mine, ref in zip(got, want):
+            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
 
+    def test_grid_ids_compress_on_overflow(self):
         positions = self._overflow_cloud()
-        assert _grid_ids(positions, radius=2e-3) is None
-        # A benign cloud still hashes.
-        assert _grid_ids(np.zeros((3, 2)), radius=1.0) is not None
+        _, stride = _grid_ids(positions, radius=2e-3)
+        # Compressed extents are bounded by 2·n + 3 ...
+        assert stride <= 2 * positions.shape[0] + 3
+        # ... while a benign cloud keeps the plain padded layout.
+        ids, stride = _grid_ids(np.array([[0.0, 0.0], [2.5, 0.5], [0.5, 3.5]]), radius=1.0)
+        assert stride == 6 and ids.tolist() == [7, 19, 10]
+
+    def test_rank_compression_keeps_adjacency(self):
+        # Equal stays equal, one apart stays one apart, every larger gap
+        # becomes 2, and NaN shares the +inf cell.
+        coords = np.array([5.0, -np.inf, 1e15, np.nan, 6.0, 5.0, 1e15 + 1, np.inf, 3.0])
+        assert _rank_compressed(coords).tolist() == [4, 0, 7, 10, 5, 4, 8, 10, 2]
 
     def test_grid_ids_overflow_via_sample_blocks(self):
-        from repro.particles.neighbors import _grid_ids
-
         # Each sample's block is ~(1.5e9)^2 cells; a handful of samples pushes
         # the flattened id space over int64 even though one block fits.
         positions = np.concatenate([np.zeros((2, 2)), np.full((2, 2), 1.5e9)])
         tiled = np.tile(positions, (4, 1))
         sample = np.repeat(np.arange(4, dtype=np.int64), positions.shape[0])
-        assert _grid_ids(positions, radius=1.0) is not None
-        assert _grid_ids(tiled, radius=1.0, sample=sample) is None
+        assert _grid_ids(positions, radius=1.0)[1] == int(1.5e9) + 3
+        _, stride = _grid_ids(tiled, radius=1.0, sample=sample)
+        assert stride <= 2 * tiled.shape[0] + 3
+        self._assert_matches_brute(tiled.reshape(4, -1, 2), radius=1.0)
 
     def test_pairs_falls_back_and_matches_brute(self):
         positions = self._overflow_cloud()
-        reference = _pairs_as_set(*BruteForceNeighbors().pairs(positions, radius=2e-3))
+        self._assert_matches_brute(positions[None], radius=2e-3)
         result = _pairs_as_set(*CellListNeighbors().pairs(positions, radius=2e-3))
-        assert result == reference == {(0, 1), (1, 0)}
+        assert result == {(0, 1), (1, 0)}
 
-    def test_pairs_batch_falls_back_to_the_per_sample_loop(self):
+    def test_pairs_batch_matches_brute(self):
         rng = np.random.default_rng(8)
         base = self._overflow_cloud()
         batch = np.stack([base + rng.normal(scale=1e-4, size=base.shape) for _ in range(3)])
-        i_idx, j_idx = CellListNeighbors().pairs_batch(batch, radius=2e-3)
-        expected = set()
-        for s in range(3):
-            si, sj = BruteForceNeighbors().pairs(batch[s], radius=2e-3)
-            expected |= {(s * 4 + a, s * 4 + b) for a, b in zip(si.tolist(), sj.tolist())}
-        assert _pairs_as_set(i_idx, j_idx) == expected
-        assert len(expected) == 3 * 2
+        self._assert_matches_brute(batch, radius=2e-3)
+        assert CellListNeighbors().pairs_batch(batch, radius=2e-3)[0].size == 3 * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_far_flung_clusters_match_brute(self, seed):
+        # Dense clusters whose pairs straddle cell boundaries on both axes,
+        # plus loners 1e12 away: compression must keep every adjacent cell
+        # adjacent.
+        rng = np.random.default_rng(seed)
+        radius = 0.5
+        batch = rng.normal(scale=3 * radius, size=(3, 60, 2))
+        batch[:, :2] = [[1e12, -1e12], [-1e12, 1e12]]
+        self._assert_matches_brute(batch, radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_match_brute(self, bad):
+        cloud = np.concatenate(
+            [self._overflow_cloud(), [[1e-3, 1e-3], [bad, 0.0], [0.0, bad], [np.nan, np.inf]]]
+        )
+        batch = np.stack([cloud, cloud[::-1]])
+        for radius in (2e-3, 1.0, 3.0):
+            self._assert_matches_brute(batch, radius)
 
     def test_batch_fallback_preserves_lexicographic_order(self):
         batch = np.stack([self._overflow_cloud()] * 2)

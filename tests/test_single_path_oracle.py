@@ -52,7 +52,6 @@ from repro.particles.model import (
 from repro.particles.neighbors import (
     BruteForceNeighbors,
     CellListNeighbors,
-    KDTreeNeighbors,
     _boxed_cell_ids,
     _boxed_grid,
     _grid_ids,
@@ -562,7 +561,6 @@ def test_cell_fallbacks_use_the_batched_queries():
     # The cell list's fallbacks call the other backends' pairs_batch
     # directly, so no pairs -> pairs_batch -> pairs cycle can arise.
     assert "pairs" not in vars(CellListNeighbors)
-    assert "pairs" not in vars(KDTreeNeighbors)
     assert "pairs" not in vars(BruteForceNeighbors)
     positions = _overflow_cloud()
     i_idx, j_idx = CellListNeighbors().pairs(positions, 2e-3)
