@@ -30,8 +30,12 @@ from repro.particles.types import InteractionParams
 #: Per-push CI runs `-m "not slow and not fuzz"`; the nightly job runs these.
 pytestmark = pytest.mark.fuzz
 
-#: One name per backend class: "kdtree" is a second spelling of the cell list.
+#: One name per backend class, for the hypothesis fuzzers: "kdtree" is a
+#: second spelling of the cell list, so fuzzing it too would repeat the cell.
 BACKEND_NAMES = [name for name, cls in sorted(NEIGHBOR_BACKENDS.items()) if cls.name == name]
+#: Every accepted spelling, for the cheap deterministic edge cases: "kdtree"
+#: is the config default and must keep answering through the registry.
+BACKEND_SPELLINGS = sorted(NEIGHBOR_BACKENDS)
 
 
 def _canonical(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -369,7 +373,7 @@ def test_drift_bit_identical_through_both_engines_on_mixed_domains(
 class TestMixedBoundaryExactCutoff:
     """Deterministic per-axis seam semantics for anisotropic/mixed domains."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_channel_wraps_x_but_never_the_reflecting_walls(self, name):
         domain = ChannelDomain(box=(10.0, 4.0))
         radius = 2.0
@@ -387,7 +391,7 @@ class TestMixedBoundaryExactCutoff:
         assert [0, 1] in listed
         assert [2, 3] not in listed
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_anisotropic_seam_at_exact_cutoff_per_axis(self, name):
         domain = PeriodicDomain(box=(12.0, 4.0))
         # x-seam pair exactly at the cut-off: 0.5 + (12 - 11.0) = 1.5.
@@ -402,7 +406,7 @@ class TestMixedBoundaryExactCutoff:
         listed = result.tolist()
         assert [0, 1] in listed and [2, 3] in listed
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_anisotropic_corner_straddling_image(self, name):
         domain = PeriodicDomain(box=(8.0, 3.0))
         # (0.1, 0.2) vs (7.9, 2.8): minimum image crosses both seams with
@@ -415,7 +419,7 @@ class TestMixedBoundaryExactCutoff:
         included = _canonical(*get_neighbor_search(name).pairs(positions, 0.45, domain))
         assert [0, 1] in included.tolist()
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_channel_tiny_periodic_axis_falls_back(self, name):
         # Fewer than three wrapped cells along x: per-axis fallback must still
         # agree with brute force while y stays a plain padded axis.
@@ -435,7 +439,7 @@ class TestMixedBoundaryExactCutoff:
 class TestWrappedExactCutoff:
     """Deterministic seam/corner cases for the torus backends."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_pair_exactly_at_cutoff_across_the_seam(self, name):
         box, radius = 10.0, 2.0
         domain = PeriodicDomain(box=box)
@@ -448,7 +452,7 @@ class TestWrappedExactCutoff:
         np.testing.assert_array_equal(result, reference)
         assert [0, 1] in reference.tolist() and [2, 3] in reference.tolist()
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_images_straddling_a_corner(self, name):
         box = 8.0
         domain = PeriodicDomain(box=box)
@@ -462,7 +466,7 @@ class TestWrappedExactCutoff:
         included = _canonical(*get_neighbor_search(name).pairs(positions, 0.5, domain))
         assert [0, 1] in included.tolist()
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_lattice_on_the_torus(self, name):
         # A 4x4 unit lattice on a 4-box: every axis neighbour sits at exactly
         # radius 1, including the wrap-around ones, so each particle has
@@ -478,7 +482,7 @@ class TestWrappedExactCutoff:
             counts = np.bincount(result[:, 0], minlength=16)
             assert np.all(counts == degree), (radius, counts)
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_tiny_box_fallback_matches_brute(self, name):
         # Fewer than three wrapped cells per axis: the cell list must fall
         # back without disagreeing.
@@ -494,7 +498,7 @@ class TestWrappedExactCutoff:
 class TestNonFiniteRadiusValidation:
     """The unified cut-off validation contract: NaN rejected, inf = all pairs."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_nan_radius_rejected_everywhere(self, name):
         backend = get_neighbor_search(name)
         positions = np.zeros((3, 2))
@@ -506,7 +510,7 @@ class TestNonFiniteRadiusValidation:
         with pytest.raises(ValueError, match="NaN"):
             backend.neighbor_lists(positions, float("nan"))
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     @pytest.mark.parametrize("domain", [None, "periodic:5.0", "reflecting:5.0"])
     def test_infinite_radius_means_all_pairs_everywhere(self, name, domain):
         backend = get_neighbor_search(name)
@@ -520,7 +524,7 @@ class TestNonFiniteRadiusValidation:
         assert len(i_idx) == 2 * 4 * 3
         assert np.all((i_idx // 4) == (j_idx // 4))  # no cross-sample pairs
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_non_positive_radius_rejected(self, name):
         backend = get_neighbor_search(name)
         for bad in (0.0, -1.0, -np.inf):
@@ -533,7 +537,7 @@ class TestNonFiniteRadiusValidation:
 class TestExactCutoffPairs:
     """Pairs whose distance lands exactly on the radius are kept by every backend."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_lattice_at_exact_radius(self, name):
         # Unit lattice probed at radius exactly 1.0 and exactly sqrt(2):
         # axis-aligned (and diagonal) neighbours sit exactly on the cut-off.
@@ -545,7 +549,7 @@ class TestExactCutoffPairs:
             np.testing.assert_array_equal(result, reference)
             assert len(reference) > 0
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_rotated_exact_radius_pair(self, name):
         # A rotated offset whose *squared* norm exceeds radius² while its
         # rounded Euclidean norm equals the radius — the regression case the
@@ -567,7 +571,7 @@ class TestExactCutoffPairs:
 class TestBatchedVsLoopedEdgeCases:
     """The satellite cases: empty neighbourhoods and duplicates in a batch."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_empty_neighbourhood_samples(self, name):
         # Sample 0: a tight cluster (everything interacts).  Sample 1: points
         # farther apart than the radius (no pairs at all).  Sample 2: one
@@ -585,7 +589,7 @@ class TestBatchedVsLoopedEdgeCases:
         expected |= {(6, 7), (7, 6)}  # sample 2, flattened offset 2 * 3
         assert set(zip(i_idx.tolist(), j_idx.tolist())) == expected
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_duplicate_positions_within_and_across_samples(self, name):
         point = [1.25, -3.5]
         batch = np.array(
@@ -602,7 +606,7 @@ class TestBatchedVsLoopedEdgeCases:
             (0, 1), (1, 0), (4, 5), (5, 4)
         }
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", BACKEND_SPELLINGS)
     def test_neighbor_lists_batch_matches_per_sample_lists(self, name):
         rng = np.random.default_rng(17)
         batch = rng.uniform(-4, 4, size=(3, 12, 2))

@@ -21,10 +21,13 @@ def _pairs_as_set(i_idx, j_idx):
     return set(zip(i_idx.tolist(), j_idx.tolist()))
 
 
-BACKENDS = [BruteForceNeighbors(), CellListNeighbors()]
+#: Every accepted backend spelling, "kdtree" (the config default, a
+#: hash-stable second name for the cell list) included.
+BACKEND_SPELLINGS = sorted(NEIGHBOR_BACKENDS)
+BACKENDS = [get_neighbor_search(name) for name in BACKEND_SPELLINGS]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_SPELLINGS)
 class TestBackendsAgainstBruteForce:
     def test_simple_triangle(self, backend):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
@@ -80,7 +83,7 @@ def _boundary_offset(radius: float) -> np.ndarray | None:
     return None
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_SPELLINGS)
 def test_cutoff_boundary_pairs_match_brute_force(backend):
     # Regression: the cell list used to prune on squared distances, dropping
     # pairs whose rounded distance lands exactly on the radius — pairs the
@@ -137,7 +140,7 @@ class TestNeighborLists:
 
 
 class TestPairsBatch:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_SPELLINGS)
     def test_matches_per_sample_pairs(self, backend):
         rng = np.random.default_rng(5)
         batch = rng.uniform(-4, 4, size=(3, 20, 2))
@@ -148,7 +151,7 @@ class TestPairsBatch:
             expected |= {(sample * 20 + a, sample * 20 + b) for a, b in zip(si, sj)}
         assert _pairs_as_set(i_idx, j_idx) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_SPELLINGS)
     @pytest.mark.parametrize(
         "query",
         [
@@ -291,7 +294,7 @@ class TestGridIdOverflowFallback:
 
 
 class TestPairDtypes:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_SPELLINGS)
     def test_pairs_are_int64(self, backend):
         rng = np.random.default_rng(11)
         positions = rng.uniform(-3, 3, size=(12, 2))
